@@ -4,8 +4,7 @@ from .calibrate import CalibrationPlan, SafeCone, calibrate_and_image, estimate_
 from .forward_asym import MsrMatrix, assemble_msr, farfield_asym, load_msr, save_msr
 from .forward_bie import ArcDensity, assemble_msr_bie, farfield_bie, solve_scatter
 from .music import (ImageGrid, ImageMap, SignalSpace, find_peaks, imaging_map,
-                    imaging_value, noise_projector_apply, select_signal_dim,
-                    svd_msr, test_vector)
+                    imaging_value, select_signal_dim, svd_msr)
 from .noise import add_awgn
 from .scene import (DirectionSet, ParametricCrack, Scene, SegmentCrack,
                     incident_field, load_scene, make_directions, save_scene,
@@ -21,10 +20,9 @@ __all__ = [
     "assemble_msr_bie", "bessel_j0", "calibrate_and_image", "compare_maps",
     "direction_average", "estimate_k", "farfield_asym", "farfield_bie",
     "find_peaks", "imaging_map", "imaging_value", "incident_field",
-    "load_msr", "load_scene", "make_directions", "noise_projector_apply",
-    "safe_cone", "save_msr", "save_scene", "select_signal_dim",
-    "separation_ok", "solve_scatter", "svd_msr", "test_vector",
-    "phase_distance", "theory_map", "theory_value",
+    "load_msr", "load_scene", "make_directions", "safe_cone", "save_msr",
+    "save_scene", "select_signal_dim", "separation_ok", "solve_scatter",
+    "svd_msr", "phase_distance", "theory_map", "theory_value",
 ]
 
 __version__ = "0.1.0"

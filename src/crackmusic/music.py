@@ -1,4 +1,4 @@
-"""SVD of the MSR matrix, noise-subspace projector, and the imaging functional.
+"""SVD of the MSR matrix, signal-space selection, and the imaging functional.
 
 The imaging functional is E(x; eta) = 1 / |P_noise f(x; eta)| with the test
 vector f built from plane-wave phases exp(i eta theta_n . x).  f is normalized
@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 EPS_CLAMP = 1e-12
+_BLOCK_POINTS = 1 << 15     # grid points per imaging block
 
 
 @dataclass(frozen=True)
@@ -106,56 +107,43 @@ def select_signal_dim(space, method="log_gap", m=None, tau=None, max_dim=None):
     raise ValueError(f"unknown selection method {method!r}")
 
 
-def noise_projector_apply(space, v):
-    """(I - sum_{m<=M} U_m U_m^*) v."""
-    if space.m is None:
-        raise ValueError("signal dimension M not selected")
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape[0] != space.n:
-        raise ValueError("vector dimension mismatch")
-    if space.m == 0:
-        return v.copy()
-    u = space.left_vectors[:, :space.m]
-    return v - u @ (u.conj().T @ v)
-
-
-def test_vector(x, eta, dirs):
-    """Unit-norm steering vector with entries proportional to exp(i eta theta_n . x)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    x = np.asarray(x, dtype=float)
-    th = dirs.vectors()
-    f = np.exp(1j * eta * (th @ x))
-    return f / np.linalg.norm(f)
-
-
-def _test_matrix(points, eta, dirs):
-    th = dirs.vectors()
-    f = np.exp(1j * eta * (points @ th.T))     # (npts, N)
-    return f / np.sqrt(th.shape[0])
-
-
 def imaging_value(space, x, eta, dirs):
-    """E(x; eta) = 1 / max(|P_noise f(x; eta)|, eps)."""
-    f = test_vector(x, eta, dirs)
-    r = np.linalg.norm(noise_projector_apply(space, f))
-    return 1.0 / max(r, EPS_CLAMP)
+    """E(x; eta) at one point: the imaging kernel on a one-point grid."""
+    x0, y0 = (float(c) for c in x)
+    return float(imaging_map(space, ImageGrid(x0, x0, y0, y0, 1.0), eta, dirs).values[0, 0])
 
 
 def imaging_map(space, grid, eta, dirs):
-    """Evaluate the imaging functional over the grid (vectorized)."""
+    """E(x; eta) = 1 / max(|P_noise f(x; eta)|, eps) over the grid.
+
+    The steering phases separate, exp(i eta theta.x) = exp(i eta x cos)
+    exp(i eta y sin), so only an (nx, N) and an (ny, N) factor are built.
+    |P_noise f| is the norm of f against the N - M trailing left singular
+    vectors, taken one block of about _BLOCK_POINTS grid points at a time.
+    """
     if space.m is None:
         raise ValueError("signal dimension M not selected")
-    pts = grid.points()
-    if pts.size == 0:
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    th = dirs.vectors()
+    if th.shape[0] != space.n:
+        raise ValueError(f"{th.shape[0]} directions for an MSR matrix of dimension {space.n}")
+    xs, ys = grid.xs(), grid.ys()
+    if xs.size == 0 or ys.size == 0:
         raise ValueError("empty grid")
-    f = _test_matrix(pts, eta, dirs)
+    # with M = 0 the noise space is all of C^N and |f| = 1, so E = 1 exactly
+    values = np.ones((ys.size, xs.size))
     if space.m > 0:
-        u = space.left_vectors[:, :space.m]
-        f = f - (f @ u.conj()) @ u.T
-    r = np.maximum(np.linalg.norm(f, axis=1), EPS_CLAMP)
-    ny, nx = grid.ys().size, grid.xs().size
-    return ImageMap(grid=grid, values=(1.0 / r).reshape(ny, nx), eta=eta, m=space.m)
+        ex = np.exp(1j * eta * np.outer(xs, th[:, 0]))
+        ey = np.exp(1j * eta * np.outer(ys, th[:, 1])) / np.sqrt(th.shape[0])
+        noise = space.left_vectors[:, space.m:].conj()
+        rows = max(1, _BLOCK_POINTS // xs.size)
+        for i in range(0, ys.size, rows):
+            f = (ey[i:i + rows, None, :] * ex).reshape(-1, th.shape[0])
+            p = (f @ noise).view(np.float64)
+            r = np.sqrt(np.einsum("ij,ij->i", p, p))
+            values[i:i + rows] = 1.0 / np.maximum(r, EPS_CLAMP).reshape(-1, xs.size)
+    return ImageMap(grid=grid, values=values, eta=eta, m=space.m)
 
 
 @dataclass(frozen=True)
@@ -202,13 +190,13 @@ def _quad_offset(left, mid, right):
 # --- exports ---
 
 def save_map_csv(imap, path):
-    xs, ys = imap.grid.xs(), imap.grid.ys()
+    """x,y,value rows of repr floats with CRLF line ends, the bytes csv.writer writes."""
+    xs = [repr(x) + "," for x in imap.grid.xs().tolist()]
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x", "y", "value"])
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                w.writerow([repr(float(x)), repr(float(y)), repr(float(imap.values[iy, ix]))])
+        f.write("x,y,value\r\n")
+        for y, row in zip(imap.grid.ys().tolist(), np.asarray(imap.values, dtype=float).tolist()):
+            yc = repr(y) + ","
+            f.write("".join([x + yc + repr(v) + "\r\n" for x, v in zip(xs, row)]))
 
 
 def save_map_pgm(imap, path):

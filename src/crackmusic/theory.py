@@ -19,6 +19,7 @@ from .music import ImageGrid, ImageMap
 from .special import bessel_j0
 
 _EPS = 1e-12
+_BLOCK_ELEMS = 1 << 16     # point-centre distances per J0 call
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,17 @@ class TheoryParams:
 
 
 def _radicand(params, pts):
-    d = np.linalg.norm(params.eta * pts[:, None, :] - params.wavenumber * params.centers[None, :, :],
-                       axis=2)
-    j = bessel_j0(d)
-    if params.variant == "squared":
-        j = j * j
-    return 1.0 - np.sum(j, axis=1)
+    """1 - sum_m J0(|eta x - k z_m|)^p per point, over blocks of about _BLOCK_ELEMS distances."""
+    kz = params.wavenumber * params.centers
+    rows = max(1, _BLOCK_ELEMS // kz.shape[0])
+    out = np.empty(pts.shape[0])
+    for i in range(0, pts.shape[0], rows):
+        p = params.eta * pts[i:i + rows]
+        j = bessel_j0(np.hypot(p[:, :1] - kz[:, 0], p[:, 1:] - kz[:, 1]))
+        if params.variant == "squared":
+            j *= j
+        out[i:i + rows] = 1.0 - j.sum(axis=1)
+    return out
 
 
 def theory_value(params, x):
@@ -67,10 +73,12 @@ def theory_map(params, grid):
 
 def phase_distance(params, pts):
     """min_m |eta x - k z_m| for each point."""
-    pts = np.atleast_2d(pts)
-    d = np.linalg.norm(params.eta * pts[:, None, :] - params.wavenumber * params.centers[None, :, :],
-                       axis=2)
-    return np.min(d, axis=1)
+    p = params.eta * np.atleast_2d(np.asarray(pts, dtype=float))
+    d = np.full(p.shape[0], np.inf)
+    for zx, zy in params.wavenumber * params.centers:
+        dx, dy = p[:, 0] - zx, p[:, 1] - zy
+        np.minimum(d, np.sqrt(dx * dx + dy * dy), out=d)
+    return d
 
 
 def compare_maps(a, b, params, exclusion_radius=0.5):

@@ -1,12 +1,15 @@
+import csv
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from crackmusic import (ImageGrid, Scene, SegmentCrack, assemble_msr,
                         find_peaks, imaging_map, imaging_value,
-                        make_directions, noise_projector_apply,
-                        select_signal_dim, svd_msr)
+                        make_directions, select_signal_dim, svd_msr)
+from crackmusic import music
 from crackmusic.forward_asym import MsrMatrix
-from crackmusic.music import test_vector as steering_vector
 from crackmusic.music import ImageMap, save_map_csv, save_map_pgm, save_spectrum_csv
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
@@ -88,28 +91,6 @@ def test_log_gap_flat_spectrum_is_ambiguous():
 
 # ---- noise projector ----
 
-def test_projector_m0_is_identity():
-    sp = select_signal_dim(svd_msr(msr3()), "manual", m=0)
-    v = np.arange(16) + 1j
-    assert np.array_equal(noise_projector_apply(sp, v), v)
-
-
-def test_projector_annihilates_signal_vectors():
-    sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
-    for m in range(3):
-        out = noise_projector_apply(sp, sp.left_vectors[:, m])
-        assert np.linalg.norm(out) < 1e-10
-
-
-def test_projector_idempotent():
-    sp = select_signal_dim(svd_msr(random_msr(14, 8)), "manual", m=5)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(14) + 1j * rng.standard_normal(14)
-    once = noise_projector_apply(sp, v)
-    twice = noise_projector_apply(sp, once)
-    assert np.linalg.norm(twice - once) < 1e-12
-
-
 def test_projector_algebra():
     for seed in range(5):
         n = 16
@@ -121,34 +102,97 @@ def test_projector_algebra():
         assert abs(np.trace(p).real - (n - sp.m)) < 1e-8
 
 
-def test_projector_dimension_mismatch():
-    sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
-    with pytest.raises(ValueError):
-        noise_projector_apply(sp, np.ones(5, complex))
+def _explicit_projector_map(space, grid, eta, dirs):
+    """Reference map: unit steering vectors per point, I - U_M U_M^* as a matrix."""
+    u = space.left_vectors[:, :space.m]
+    proj = np.eye(space.n) - u @ u.conj().T
+    f = np.exp(1j * eta * (grid.points() @ dirs.vectors().T))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    r = np.linalg.norm(f @ proj.T, axis=1)
+    return (1.0 / np.maximum(r, 1e-12)).reshape(grid.ys().size, grid.xs().size)
 
 
-# ---- test vector ----
-
-def test_test_vector_origin_is_constant():
+@pytest.mark.parametrize("m", [0, 3, 15, 16])
+def test_imaging_map_matches_explicit_projector(m):
+    sp = select_signal_dim(svd_msr(random_msr(16, 40 + m)), "manual", m=m)
     dirs = make_directions(16, "closed")
-    f = steering_vector((0.0, 0.0), 10.0, dirs)
-    assert np.allclose(f, 1 / 4.0)
+    g = ImageGrid(-1.0, 1.0, -2.1, 2.1, 0.01)
+    assert g.ys().size > 2 * music._BLOCK_POINTS // g.xs().size   # three row blocks
+    got = imaging_map(sp, g, 11.0, dirs).values
+    ref = _explicit_projector_map(sp, g, 11.0, dirs)
+    assert got.shape == ref.shape == (421, 201)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
 
-def test_test_vector_unit_norm():
-    dirs = make_directions(32, "closed")
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        f = steering_vector(rng.uniform(-2, 2, 2), rng.uniform(1, 30), dirs)
-        assert np.linalg.norm(f) == pytest.approx(1.0)
+def test_imaging_map_m0_is_exactly_one():
+    sp = select_signal_dim(svd_msr(msr3()), "manual", m=0)
+    m = imaging_map(sp, ImageGrid(-1, 1, -1, 1, 0.1), 10.0, make_directions(16, "closed"))
+    assert np.all(m.values == 1.0)
 
 
-def test_test_vector_scale_identity():
+def test_imaging_map_clamps_at_signal_space_centre():
+    # a single crack at the origin: the origin's steering vector spans the signal space
+    sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
+    dirs = make_directions(16, "closed")
+    sp = select_signal_dim(svd_msr(assemble_msr(sc, 0.05, dirs)), "manual", m=1)
+    m = imaging_map(sp, ImageGrid(-0.1, 0.1, -0.1, 0.1, 0.1), K1, dirs)
+    assert m.values[1, 1] == 1.0 / music.EPS_CLAMP
+    assert np.all(np.delete(m.values.ravel(), 4) < 1e3)
+
+
+def test_imaging_map_rejects_direction_count_mismatch():
+    sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
+    with pytest.raises(ValueError, match="directions"):
+        imaging_map(sp, ImageGrid(0, 1, 0, 1, 0.5), 10.0, make_directions(8, "closed"))
+
+
+def test_imaging_map_rejects_nonpositive_eta():
+    sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
+    dirs = make_directions(16, "closed")
+    for eta in (-5.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            imaging_map(sp, ImageGrid(-1, 1, -1, 1, 0.5), eta, dirs)
+
+
+def test_imaging_map_rejects_empty_grid():
+    sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
+    empty = SimpleNamespace(xs=lambda: np.empty(0), ys=lambda: np.arange(3.0))
+    with pytest.raises(ValueError, match="empty grid"):
+        imaging_map(sp, empty, 10.0, make_directions(16, "closed"))
+
+
+# ---- steering vectors, seen through the kernel ----
+
+def test_imaging_map_origin_is_eta_independent():
+    # the steering vector at the origin is constant whatever eta is
+    sp = select_signal_dim(svd_msr(random_msr(16, 9)), "manual", m=5)
+    dirs = make_directions(16, "closed")
+    vals = [imaging_value(sp, (0.0, 0.0), eta, dirs) for eta in (1.0, 7.5, 40.0)]
+    assert vals == pytest.approx([vals[0]] * 3, rel=1e-13)
+
+
+def test_imaging_map_scale_identity():
+    sp = select_signal_dim(svd_msr(random_msr(16, 11)), "manual", m=4)
     dirs = make_directions(16, "closed")
     x = np.array([0.4, -0.7])
     eta, eta2 = 12.0, 18.0
-    assert np.allclose(steering_vector(x, eta, dirs),
-                       steering_vector((eta / eta2) * x, eta2, dirs))
+    assert imaging_value(sp, x, eta, dirs) == pytest.approx(
+        imaging_value(sp, (eta / eta2) * x, eta2, dirs), rel=1e-12)
+
+
+def test_imaging_map_memory_is_bounded():
+    sp = select_signal_dim(svd_msr(random_msr(64, 1)), "manual", m=10)
+    g = ImageGrid(-2, 2, -2, 2, 0.005)
+    npts = g.xs().size * g.ys().size
+    assert npts == 801 * 801
+    tracemalloc.start()
+    try:
+        imaging_map(sp, g, 20.0, make_directions(64, "closed"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the unblocked kernel held an npts x N complex matrix
+    assert peak < npts * 64 * 16 / 4
 
 
 # ---- imaging ----
@@ -243,6 +287,22 @@ def test_find_peaks_single_crack():
 
 
 # ---- exports ----
+
+def test_map_csv_bytes_match_csv_writer(tmp_path):
+    g = ImageGrid(-0.1, 0.2, 0.0, 0.1, 0.1)
+    vals = np.array([[1.0, 0.1, 1e-300, 1e20], [2.5e-7, 123456789.125, 1 / 3, 7.0]])
+    m = ImageMap(grid=g, values=vals, eta=1.0)
+    save_map_csv(m, tmp_path / "new.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["x", "y", "value"])
+        for iy, y in enumerate(g.ys()):
+            for ix, x in enumerate(g.xs()):
+                w.writerow([repr(float(x)), repr(float(y)), repr(float(vals[iy, ix]))])
+    ref = (tmp_path / "ref.csv").read_bytes()
+    assert ref.count(b"\r\n") == 9
+    assert (tmp_path / "new.csv").read_bytes() == ref
+
 
 def test_map_csv_export(tmp_path):
     g = ImageGrid(0, 0.2, 0, 0.1, 0.1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,28 @@ def test_phase_distance():
     d = phase_distance(p, [(0.5, 0.0), (0.0, 0.0)])
     assert d[0] == pytest.approx(0.0)
     assert d[1] == pytest.approx(2.0)
+
+
+def test_phase_distance_matches_all_pairs_minimum():
+    rng = np.random.default_rng(4)
+    p = TheoryParams(wavenumber=3.0, eta=5.0, centers=rng.uniform(-1, 1, (7, 2)))
+    pts = rng.uniform(-2, 2, (500, 2))
+    pairs = np.linalg.norm(5.0 * pts[:, None, :] - 3.0 * p.centers[None, :, :], axis=2)
+    assert np.array_equal(phase_distance(p, pts), pairs.min(axis=1))
+
+
+def test_theory_map_memory_is_bounded():
+    cfg = preset_config("fig4")
+    scene = scene_from_dict(cfg["scene"])
+    assert scene.centers().shape[0] == 82
+    p = TheoryParams(wavenumber=scene.wavenumber, eta=20.0, centers=scene.centers())
+    tracemalloc.start()
+    try:
+        theory_map(p, ImageGrid(**cfg["grid"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---- comparison against the numeric pipeline (single crack) ----
