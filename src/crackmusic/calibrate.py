@@ -14,12 +14,13 @@ import numpy as np
 
 from . import music
 
+RAY_TOL = 0.5                     # largest peak distance from the ray through y
+
 
 @dataclass(frozen=True)
 class CalibrationPlan:
     y: tuple                      # known scatterer location, |y| > 0
     eta: float                    # probe wavenumber used for imaging
-    kind: str = "extended"        # extended | small
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -88,8 +89,7 @@ def _ray_distance(p, y):
     return float(np.linalg.norm(p - t * y))
 
 
-def calibrate_and_image(msr, plan, grid, signal_dim=("log_gap", None),
-                        ray_tol=0.5, peak_count=None):
+def calibrate_and_image(msr, plan, grid, signal_dim=None):
     """Estimate k from the calibration peak, then re-image at eta = k_hat.
 
     msr must come from the scene augmented with the calibration scatterer at
@@ -98,26 +98,19 @@ def calibrate_and_image(msr, plan, grid, signal_dim=("log_gap", None),
     estimate is insensitive to off-ray drift along an extended calibration
     scatterer because of the least-squares projection in estimate_k.  Returns
     (k_hat, remap, info): the re-imaged map at eta = k_hat plus a report
-    dict.  Raises if no dominant peak lies within ray_tol of the ray; flags
-    ambiguity when crack images intrude on the ray neighborhood.
+    dict.  signal_dim holds the keywords of music.select_signal_dim (default
+    log_gap).  Raises if no dominant peak lies within RAY_TOL of the ray;
+    flags ambiguity when crack images intrude on the ray neighborhood.
     """
-    space = music.svd_msr(msr)
-    method, arg = signal_dim
-    if method == "manual":
-        space = music.select_signal_dim(space, "manual", m=arg)
-    elif method == "threshold":
-        space = music.select_signal_dim(space, "threshold", tau=arg)
-    else:
-        space = music.select_signal_dim(space, "log_gap")
+    space = music.select_signal_dim(music.svd_msr(msr), **(signal_dim or {}))
     imap = music.imaging_map(space, grid, plan.eta, msr.directions)
-    count = peak_count if peak_count is not None else max(space.m, 1)
-    peaks = music.find_peaks(imap, count)
+    peaks = music.find_peaks(imap, max(space.m, 1))
     y = np.asarray(plan.y)
     candidates = [(p, v, _ray_distance(p, y)) for p, v in peaks.peaks
                   if float(np.asarray(p) @ y) > 0]
-    candidates = [c for c in candidates if c[2] <= ray_tol]
+    candidates = [c for c in candidates if c[2] <= RAY_TOL]
     if not candidates:
-        raise ValueError(f"no dominant peak within {ray_tol} of the ray through {plan.y}")
+        raise ValueError(f"no dominant peak within {RAY_TOL} of the ray through {plan.y}")
     peak, _, residual = min(candidates, key=lambda c: c[2])
     k_hat = estimate_k(peak, y, plan.eta)
     remap = music.imaging_map(space, grid, k_hat, msr.directions)

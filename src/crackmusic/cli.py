@@ -53,27 +53,32 @@ def load_config(args):
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.grid:
-        parts = args.grid.split(",")
-        if len(parts) != 5:
-            raise ConfigError('--grid expects "x0,x1,y0,y1,step"')
-        x0, x1, y0, y1, step = (float(p) for p in parts)
+        try:
+            x0, x1, y0, y1, step = (float(p) for p in args.grid.split(","))
+        except ValueError:
+            raise ConfigError(f'bad --grid {args.grid!r}; use "x0,x1,y0,y1,step"') from None
         cfg["grid"] = {"x0": x0, "x1": x1, "y0": y0, "y1": y1, "step": step}
     if args.signal_dim:
         cfg["signal_dim"] = _parse_signal_dim(args.signal_dim)
     try:
         jsonschema.validate(cfg, _load_schema())
     except jsonschema.ValidationError as e:
-        raise ConfigError(f"config does not match schema: {e.message}") from e
+        where = "/".join(str(p) for p in e.absolute_path) or "top level"
+        raise ConfigError(f"config does not match schema at {where}: {e.message}") from e
     return cfg
 
 
 def _parse_signal_dim(spec):
-    if spec == "log_gap":
-        return {"method": "log_gap"}
-    if spec.startswith("manual:"):
-        return {"method": "manual", "m": int(spec.split(":", 1)[1])}
-    if spec.startswith("threshold:"):
-        return {"method": "threshold", "tau": float(spec.split(":", 1)[1])}
+    method, _, arg = spec.partition(":")
+    try:
+        if spec == "log_gap":
+            return {"method": "log_gap"}
+        if method == "manual":
+            return {"method": "manual", "m": int(arg)}
+        if method == "threshold":
+            return {"method": "threshold", "tau": float(arg)}
+    except ValueError:
+        pass
     raise ConfigError(f"bad --signal-dim {spec!r}; use manual:M, log_gap, or threshold:T")
 
 
@@ -96,21 +101,17 @@ def _grid(cfg):
 
 
 def _signal_dim(cfg):
-    sd = cfg.get("signal_dim", {"method": "log_gap"})
-    if sd["method"] == "manual":
-        return ("manual", sd["m"])
-    if sd["method"] == "threshold":
-        return ("threshold", sd["tau"])
-    return ("log_gap", None)
+    """The config's signal_dim object: the keywords of music.select_signal_dim."""
+    return cfg.get("signal_dim", {"method": "log_gap"})
 
 
-def _select(space, cfg):
-    method, arg = _signal_dim(cfg)
-    if method == "manual":
-        return music.select_signal_dim(space, "manual", m=arg)
-    if method == "threshold":
-        return music.select_signal_dim(space, "threshold", tau=arg)
-    return music.select_signal_dim(space, "log_gap")
+def _signal_space(msr, cfg):
+    return music.select_signal_dim(music.svd_msr(msr), **_signal_dim(cfg))
+
+
+def _theory_params(cfg, scene, eta):
+    return TheoryParams(wavenumber=scene.wavenumber, eta=eta, centers=scene.centers(),
+                        variant=cfg.get("theory_variant", "squared"))
 
 
 def compute_msr(cfg):
@@ -128,10 +129,16 @@ def compute_msr(cfg):
 
 
 def _get_msr(args, cfg):
-    if args.msr:
-        csv_path = Path(args.msr)
-        return load_msr(csv_path, csv_path.with_suffix(".json"))
-    return compute_msr(cfg)
+    if not args.msr:
+        return compute_msr(cfg)
+    csv_path = Path(args.msr)
+    sidecar = csv_path.with_suffix(".json")
+    try:
+        return load_msr(csv_path, sidecar)
+    except KeyError as e:
+        raise ConfigError(f"MSR sidecar {sidecar} lacks the key {e}") from e
+    except ValueError as e:
+        raise ConfigError(f"MSR file {csv_path}: {e}") from e
 
 
 def _etatag(eta):
@@ -143,22 +150,16 @@ def _write_json(obj, path):
         json.dump(obj, f, indent=2, sort_keys=True)
 
 
-def cmd_forward(args):
-    cfg = load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_forward(cfg, args, out):
     msr = compute_msr(cfg)
     save_msr(msr, out / "msr.csv", out / "msr.json")
     print(out / "msr.csv")
     return 0
 
 
-def cmd_image(args):
-    cfg = load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_image(cfg, args, out):
     msr = _get_msr(args, cfg)
-    space = _select(music.svd_msr(msr), cfg)
+    space = _signal_space(msr, cfg)
     grid = _grid(cfg)
     for eta in cfg["etas"]:
         imap = music.imaging_map(space, grid, eta, msr.directions)
@@ -176,31 +177,22 @@ def cmd_image(args):
     return 0
 
 
-def cmd_svd(args):
-    cfg = load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_svd(cfg, args, out):
     msr = _get_msr(args, cfg)
-    space = _select(music.svd_msr(msr), cfg)
+    space = _signal_space(msr, cfg)
     music.save_spectrum_csv(space, out / "spectrum.csv")
     _write_json({"m": space.m, "ambiguous": space.ambiguous,
-                 "method": cfg.get("signal_dim", {"method": "log_gap"})["method"]},
+                 "method": _signal_dim(cfg)["method"]},
                 out / "selection.json")
     print(out / "spectrum.csv")
     return 0
 
 
-def cmd_theory(args):
-    cfg = load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_theory(cfg, args, out):
     scene = _scene(cfg)
     grid = _grid(cfg)
     for eta in cfg["etas"]:
-        params = TheoryParams(wavenumber=scene.wavenumber, eta=eta,
-                              centers=scene.centers(),
-                              variant=cfg.get("theory_variant", "squared"))
-        tmap = theory.theory_map(params, grid)
+        tmap = theory.theory_map(_theory_params(cfg, scene, eta), grid)
         tag = _etatag(eta)
         music.save_map_csv(tmap, out / f"theory_eta{tag}.csv")
         music.save_map_pgm(tmap, out / f"theory_eta{tag}.pgm")
@@ -208,20 +200,15 @@ def cmd_theory(args):
     return 0
 
 
-def cmd_compare(args):
-    cfg = load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_compare(cfg, args, out):
     scene = _scene(cfg)
     msr = _get_msr(args, cfg)
-    space = _select(music.svd_msr(msr), cfg)
+    space = _signal_space(msr, cfg)
     grid = _grid(cfg)
     excl = cfg.get("exclusion_radius", 0.5)
     for eta in cfg["etas"]:
         imap = music.imaging_map(space, grid, eta, msr.directions)
-        params = TheoryParams(wavenumber=scene.wavenumber, eta=eta,
-                              centers=scene.centers(),
-                              variant=cfg.get("theory_variant", "squared"))
+        params = _theory_params(cfg, scene, eta)
         tmap = theory.theory_map(params, grid)
         report = theory.compare_maps(imap, tmap, params, exclusion_radius=excl)
         report["eta"] = eta
@@ -230,15 +217,11 @@ def cmd_compare(args):
     return 0
 
 
-def cmd_calibrate(args):
-    cfg = load_config(args)
+def cmd_calibrate(cfg, args, out):
     if "calibration" not in cfg:
         raise ConfigError("calibrate requires a 'calibration' config section")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cal = cfg["calibration"]
-    plan = CalibrationPlan(y=tuple(cal["y"]), eta=cal["eta"],
-                           kind=cal.get("kind", "extended"))
+    plan = CalibrationPlan(y=tuple(cal["y"]), eta=cal["eta"])
     msr = _get_msr(args, cfg)
     k_hat, remap, info = calibrate_and_image(msr, plan, _grid(cfg),
                                              signal_dim=_signal_dim(cfg))
@@ -284,7 +267,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = load_config(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.fn(cfg, args, out)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

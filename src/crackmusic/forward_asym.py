@@ -5,9 +5,9 @@ cracks is, to leading order in 1/|ln h|,
 
     u_inf(obs, inc) = -(2*pi / ln(h/2)) * sum_m exp(i k (inc - obs) . z_m).
 
-With the observation convention obs_j = -theta_j the resulting multistatic
-response (MSR) matrix is complex symmetric and factors as c * A A^T with
-A[n, m] = exp(i k theta_n . z_m).
+With the observation convention obs_j = -theta_j (the only one MSR files may
+declare) the resulting multistatic response (MSR) matrix is complex symmetric
+and factors as c * A A^T with A[n, m] = exp(i k theta_n . z_m).
 """
 
 import csv
@@ -24,7 +24,6 @@ class MsrMatrix:
     entries: np.ndarray          # (N, N) complex
     directions: DirectionSet
     wavenumber: float
-    obs_is_neg_inc: bool = True
     provenance: str = "asymptotic"   # asymptotic | bie | file
     extra: dict = None
 
@@ -74,6 +73,9 @@ def assemble_msr(scene, h, dirs):
 
 # --- MSR file format: CSV of interleaved re,im pairs + JSON sidecar ---
 
+CONVENTION = "obs=-inc"
+
+
 def save_msr(msr, csv_path, sidecar_path):
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)
@@ -86,7 +88,7 @@ def save_msr(msr, csv_path, sidecar_path):
     meta = {
         "n": msr.n,
         "wavenumber": msr.wavenumber,
-        "convention": "obs=-inc" if msr.obs_is_neg_inc else "obs=inc",
+        "convention": CONVENTION,
         "provenance": msr.provenance,
         "direction_mode": msr.directions.mode,
     }
@@ -97,20 +99,27 @@ def save_msr(msr, csv_path, sidecar_path):
 
 
 def load_msr(csv_path, sidecar_path):
+    """Read an MSR file pair; ValueError names what disagrees with the format."""
     from .scene import make_directions
 
     with open(sidecar_path) as f:
         meta = json.load(f)
+    if meta["convention"] != CONVENTION:
+        raise ValueError(f"sidecar convention {meta['convention']!r} is not {CONVENTION!r}")
     rows = []
     with open(csv_path, newline="") as f:
         for rec in csv.reader(f):
             vals = np.array([float(v) for v in rec])
             rows.append(vals[0::2] + 1j * vals[1::2])
     entries = np.array(rows)
-    dirs = make_directions(meta["n"], meta.get("direction_mode", "closed"))
+    n = meta["n"]
+    if entries.shape != (n, n):
+        raise ValueError(f"matrix shape {entries.shape} does not match sidecar n = {n}")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("matrix has non-finite entries")
+    dirs = make_directions(n, meta.get("direction_mode", "closed"))
     extra = {k: v for k, v in meta.items()
              if k not in ("n", "wavenumber", "convention", "provenance", "direction_mode")}
     return MsrMatrix(entries=entries, directions=dirs,
                      wavenumber=float(meta["wavenumber"]),
-                     obs_is_neg_inc=(meta["convention"] == "obs=-inc"),
                      provenance=meta["provenance"], extra=extra or None)

@@ -180,18 +180,19 @@ def converged_n(crack, k, n0=64, tol=1e-6, n_max=4096):
     raise ArithmeticError(f"far field did not self-converge below {tol} by n={n_max}")
 
 
-def assemble_msr_bie(scene, dirs, n=None, auto_tol=1e-6):
+def assemble_msr_bie(scene, dirs, n=None):
     """MSR matrix from the full-wave solver.
 
     Multi-crack scenes use superposition of single-crack solves, consistent
     with the separation assumption (inter-crack multiple scattering ignored).
-    With n=None the node count per crack is found by self-convergence.
+    With n=None the node count per crack is found by converged_n (far-field
+    self-convergence to 1e-6).
     """
     th = dirs.vectors()
     k = scene.wavenumber
     entries = np.zeros((dirs.n, dirs.n), dtype=np.complex128)
     for crack in scene.cracks:
-        nc = n if n is not None else converged_n(crack, k, tol=auto_tol)
+        nc = n if n is not None else converged_n(crack, k)
         dens = solve_scatter(crack, k, th, nc)
         entries += farfield_bie(dens, crack, k, -th)   # obs_j = -theta_j
     recip = float(np.linalg.norm(entries - entries.T) / np.linalg.norm(entries))

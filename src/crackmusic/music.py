@@ -59,7 +59,6 @@ class ImageMap:
     values: np.ndarray            # (ny, nx), values[iy, ix] at (xs[ix], ys[iy])
     eta: float
     m: int = None
-    provenance: str = "music"
 
 
 def svd_msr(msr):
@@ -71,14 +70,15 @@ def svd_msr(msr):
     return SignalSpace(singular_values=s, left_vectors=u, right_vectors=vh.conj().T)
 
 
-def select_signal_dim(space, method="log_gap", m=None, tau=None, max_dim=None):
+def select_signal_dim(space, method="log_gap", m=None, tau=None):
     """Pick the signal-space dimension M.
 
     method "manual" uses m directly; "threshold" counts sigma_m/sigma_1 >= tau;
-    "log_gap" takes the argmax of log(sigma_m / sigma_{m+1}) over a bounded
-    prefix (default N/2 -- the tail gaps of a pure-noise spectrum can be
-    arbitrarily large since the smallest singular value clusters near zero)
-    and flags the result ambiguous when no usable gap exists.
+    "log_gap" takes the argmax of log(sigma_m / sigma_{m+1}) over the first
+    N/2 gaps (the tail gaps of a pure-noise spectrum can be arbitrarily large
+    since the smallest singular value clusters near zero) and flags the
+    result ambiguous when no usable gap exists.  The keywords match the
+    run config's "signal_dim" object, so a config passes as **spec.
     """
     s = space.singular_values
     n = space.n
@@ -93,7 +93,7 @@ def select_signal_dim(space, method="log_gap", m=None, tau=None, max_dim=None):
             return replace(space, m=0, ambiguous=True)
         return replace(space, m=int(np.sum(s / s[0] >= tau)), ambiguous=False)
     if method == "log_gap":
-        bound = min(n - 1, max_dim if max_dim else max(n // 2, 1))
+        bound = n // 2
         with np.errstate(divide="ignore"):
             gaps = np.log(s[:bound]) - np.log(s[1:bound + 1])
         if not np.any(np.isfinite(gaps)):

@@ -1,8 +1,8 @@
 """Additive circularly-symmetric complex white Gaussian noise at a given SNR."""
 
-import numpy as np
+from dataclasses import replace
 
-from .forward_asym import MsrMatrix
+import numpy as np
 
 
 def add_awgn(msr, snr_db, seed):
@@ -15,9 +15,7 @@ def add_awgn(msr, snr_db, seed):
     """
     k = msr.entries
     if snr_db is None or np.isposinf(snr_db):
-        return MsrMatrix(entries=k.copy(), directions=msr.directions,
-                         wavenumber=msr.wavenumber, obs_is_neg_inc=msr.obs_is_neg_inc,
-                         provenance=msr.provenance, extra=msr.extra)
+        return replace(msr, entries=k.copy())
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite (or +inf for no noise)")
     rng = np.random.default_rng(seed)
@@ -25,7 +23,5 @@ def add_awgn(msr, snr_db, seed):
     var = sig_power / 10.0 ** (snr_db / 10.0)
     s = np.sqrt(var / 2.0)
     w = s * (rng.standard_normal(k.shape) + 1j * rng.standard_normal(k.shape))
-    return MsrMatrix(entries=k + w, directions=msr.directions,
-                     wavenumber=msr.wavenumber, obs_is_neg_inc=msr.obs_is_neg_inc,
-                     provenance=msr.provenance,
-                     extra={**(msr.extra or {}), "snr_db": snr_db, "seed": int(seed)})
+    return replace(msr, entries=k + w,
+                   extra={**(msr.extra or {}), "snr_db": snr_db, "seed": int(seed)})

@@ -45,57 +45,38 @@ def calibration_segment_points(n=41):
 _GRID = {"x0": -2.0, "x1": 2.0, "y0": -2.0, "y1": 2.0, "step": 0.01}
 
 
+def _config(k, cracks, n, etas, signal_dim):
+    return {
+        "scene": {"wavenumber": k, "cracks": cracks},
+        "forward": "asym",
+        "h": CRACK_H,
+        "directions": {"n": n, "mode": "closed"},
+        "etas": etas,
+        "grid": dict(_GRID),
+        "signal_dim": signal_dim,
+    }
+
+
 def preset_config(name):
     k1 = 2.0 * np.pi / 0.5
     k2 = 2.0 * np.pi / 0.3
     k3 = 2.0 * np.pi / 0.4
+    arc = {"type": "arc", "points": extended_arc_points().tolist()}
     if name == "fig1":
-        return {
-            "scene": {"wavenumber": k1, "cracks": small_crack_dicts()},
-            "forward": "asym",
-            "h": CRACK_H,
-            "directions": {"n": 16, "mode": "closed"},
-            "etas": [10.0, 15.0, 20.0, k1],
-            "grid": dict(_GRID),
-            "signal_dim": {"method": "manual", "m": 3},
-        }
+        return _config(k1, small_crack_dicts(), 16, [10.0, 15.0, 20.0, k1],
+                       {"method": "manual", "m": 3})
     if name == "fig2":
-        return {
-            "scene": {"wavenumber": k2, "cracks": small_crack_dicts()},
-            "forward": "asym",
-            "h": CRACK_H,
-            "directions": {"n": 16, "mode": "closed"},
-            "etas": [10.0, 15.0, 20.0, k2],
-            "grid": dict(_GRID),
-            "signal_dim": {"method": "manual", "m": 3},
-        }
+        return _config(k2, small_crack_dicts(), 16, [10.0, 15.0, 20.0, k2],
+                       {"method": "manual", "m": 3})
     if name == "fig3":
-        return {
-            "scene": {"wavenumber": k3,
-                      "cracks": [{"type": "arc",
-                                  "points": extended_arc_points().tolist()}]},
-            "forward": "asym",
-            "h": CRACK_H,
-            "directions": {"n": 32, "mode": "closed"},
-            "etas": [10.0, 15.0, 20.0, 25.0, k3],
-            "grid": dict(_GRID),
-            "signal_dim": {"method": "manual", "m": 13},
-        }
+        return _config(k3, [arc], 32, [10.0, 15.0, 20.0, 25.0, k3],
+                       {"method": "manual", "m": 13})
     if name == "fig4":
-        return {
-            "scene": {"wavenumber": k3,
-                      "cracks": [{"type": "arc",
-                                  "points": extended_arc_points().tolist()},
-                                 {"type": "arc",
-                                  "points": calibration_segment_points().tolist()}]},
-            "forward": "asym",
-            "h": CRACK_H,
-            "directions": {"n": 32, "mode": "closed"},
-            "etas": [20.0],
-            "grid": dict(_GRID),
-            "signal_dim": {"method": "threshold", "tau": 0.01},
-            "calibration": {"y": [0.0, -1.0], "eta": 20.0, "kind": "extended"},
-        }
+        segment = {"type": "arc", "points": calibration_segment_points().tolist()}
+        cfg = _config(k3, [arc, segment], 32, [20.0],
+                      {"method": "threshold", "tau": 0.01})
+        cfg["calibration"] = {"y": [0.0, -1.0], "eta": 20.0}
+        return cfg
     raise KeyError(f"unknown preset {name!r}; choose fig1, fig2, fig3, or fig4")
 
 

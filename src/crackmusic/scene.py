@@ -19,11 +19,6 @@ class SegmentCrack:
             raise ValueError("half_length must be positive")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
-    def point(self, t):
-        """Point at parameter t in [-1, 1] along the segment."""
-        d = np.array([np.cos(self.angle), np.sin(self.angle)])
-        return np.asarray(self.center) + np.atleast_1d(t)[..., None] * self.half_length * d
-
     def is_small_for(self, k, factor=0.1):
         """Warning predicate: half_length small versus wavelength 2*pi/k."""
         return self.half_length <= factor * (2.0 * np.pi / k)

@@ -10,7 +10,6 @@ squared variant is the default; both are kept so their fit to the numeric
 pipeline can be compared.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,7 @@ def theory_map(params, grid):
     rad = np.maximum(_radicand(params, pts), _EPS)
     ny, nx = grid.ys().size, grid.xs().size
     return ImageMap(grid=grid, values=(1.0 / np.sqrt(rad)).reshape(ny, nx),
-                    eta=params.eta, m=params.centers.shape[0], provenance="theory")
+                    eta=params.eta, m=params.centers.shape[0])
 
 
 def phase_distance(params, pts):
@@ -103,8 +102,3 @@ def compare_maps(a, b, params, exclusion_radius=0.5):
         "excluded_count": int(np.sum(~keep)),
         "compared_count": int(np.sum(keep)),
     }
-
-
-def save_report(report, path):
-    with open(path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)

@@ -207,7 +207,7 @@ def test_criterion_08_calibration_recovery():
     plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
     k_hat, remap, _ = calibrate_and_image(msr, plan, grid,
-                                          signal_dim=("threshold", 0.01))
+                                          signal_dim={"method": "threshold", "tau": 0.01})
     rel_err = abs(k_hat - K_04) / K_04
 
     space = select_signal_dim(svd_msr(msr), "threshold", tau=0.01)

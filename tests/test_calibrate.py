@@ -110,10 +110,10 @@ def _segment_msr(y, eta_ignored=None, extra_cracks=(), n=32, k=K3):
 
 def test_calibrate_small_scatterer_recovers_k():
     msr = _segment_msr((0.0, -1.0))
-    plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0, kind="small")
+    plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
     k_hat, remap, info = calibrate_and_image(msr, plan, grid,
-                                             signal_dim=("manual", 1))
+                                             signal_dim={"method": "manual", "m": 1})
     assert abs(k_hat - K3) / K3 < 0.05
     assert remap.eta == k_hat
     assert info["k_hat"] == k_hat
@@ -123,10 +123,10 @@ def test_calibrate_small_scatterer_recovers_k():
 
 def test_calibrate_eta_equal_k_is_fixed_point():
     msr = _segment_msr((0.0, -1.0))
-    plan = CalibrationPlan(y=(0.0, -1.0), eta=K3, kind="small")
+    plan = CalibrationPlan(y=(0.0, -1.0), eta=K3)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
     k_hat, remap, _ = calibrate_and_image(msr, plan, grid,
-                                          signal_dim=("manual", 1))
+                                          signal_dim={"method": "manual", "m": 1})
     assert abs(k_hat - K3) / K3 < 0.01
     pk = find_peaks(remap, 1)
     assert np.linalg.norm(np.asarray(pk.peaks[0][0]) - np.array([0.0, -1.0])) < 0.02
@@ -134,12 +134,12 @@ def test_calibrate_eta_equal_k_is_fixed_point():
 
 def test_calibrate_accuracy_improves_with_grid_step():
     msr = _segment_msr((0.0, -1.0))
-    plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0, kind="small")
+    plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     errs = []
     for step in (0.02, 0.01, 0.005):
         k_hat, _, _ = calibrate_and_image(msr, plan,
                                           ImageGrid(-2, 2, -2, 2, step),
-                                          signal_dim=("manual", 1))
+                                          signal_dim={"method": "manual", "m": 1})
         errs.append(abs(k_hat - K3) / K3)
         # bound: (step/|y|)*(eta/k) plus sub-cell fit slack
         assert errs[-1] <= (step / 1.0) * (20.0 / K3) + 0.002
@@ -149,10 +149,10 @@ def test_calibrate_ambiguous_when_crack_image_near_ray():
     # a crack whose scaled image lands on the calibration ray
     decoy = SegmentCrack(center=(0.0, -0.5), half_length=0.05)
     msr = _segment_msr((0.0, -1.0), extra_cracks=(decoy,))
-    plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0, kind="small")
+    plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
     k_hat, _, info = calibrate_and_image(msr, plan, grid,
-                                         signal_dim=("manual", 2))
+                                         signal_dim={"method": "manual", "m": 2})
     assert info["ambiguous"]
 
 
@@ -161,7 +161,7 @@ def test_calibrate_no_peak_near_ray_raises():
     scene = Scene(cracks=(SegmentCrack(center=(1.0, 1.0), half_length=0.05),),
                   wavenumber=K3)
     msr = assemble_msr(scene, 0.05, make_directions(32, "closed"))
-    plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0, kind="small")
+    plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     with pytest.raises(ValueError):
         calibrate_and_image(msr, plan, ImageGrid(-2, 2, -2, 2, 0.01),
-                            signal_dim=("manual", 1))
+                            signal_dim={"method": "manual", "m": 1})

@@ -5,7 +5,7 @@ import pytest
 
 from crackmusic import load_msr
 from crackmusic.cli import main
-from crackmusic.presets import PRESET_NAMES, preset_config
+from crackmusic.presets import preset_config
 
 K1 = 2 * np.pi / 0.5
 GRID_COARSE = ("--grid=-2,2,-2,2,0.02",)
@@ -171,9 +171,52 @@ def test_schema_violation_is_exit_2(tmp_path):
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
 
-def test_bad_signal_dim_flag_is_exit_2(tmp_path):
-    assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "o"),
-               "--signal-dim", "banana") == 2
+@pytest.mark.parametrize("flag", ["--signal-dim=banana", "--signal-dim=manual:abc",
+                                  "--grid=a,1,-1,1,0.1"],
+                         ids=["banana", "manual-abc", "grid-abc"])
+def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag):
+    assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "o"), flag) == 2
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"signal_dim": {"method": "manual"}}, "signal_dim: 'm'"),
+    ({"signal_dim": {"method": "threshold"}}, "signal_dim: 'tau'"),
+    ({"forward": "bie", "bie_n": 9}, "bie_n"),
+    ({"calibration": {"y": [0.0, -1.0], "eta": 20.0, "kind": "extended"}}, "'kind'"),
+], ids=["manual-without-m", "threshold-without-tau", "odd-bie_n", "calibration-kind"])
+def test_schema_violation_names_the_field(tmp_path, capsys, overrides, field):
+    cfg = write_cfg(tmp_path, **overrides)
+    assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert field in capsys.readouterr().err
+
+
+def _set_sidecar(key, value):
+    def edit(csv_path, sidecar):
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+    return edit
+
+
+def _nan_entry(csv_path, sidecar):
+    rows = csv_path.read_text().splitlines()
+    rows[3] = "nan," + rows[3].split(",", 1)[1]
+    csv_path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (_set_sidecar("n", 12), "sidecar n = 12"),
+    (_set_sidecar("convention", "obs=inc"), "'obs=inc'"),
+    (_nan_entry, "non-finite"),
+], ids=["n-mismatch", "convention", "nan-entry"])
+def test_bad_msr_file_is_exit_2(tmp_path, capsys, edit, problem):
+    fwd = tmp_path / "fwd"
+    assert run("forward", "--preset", "fig1", "--out", str(fwd)) == 0
+    edit(fwd / "msr.csv", fwd / "msr.json")
+    assert run("svd", "--preset", "fig1", "--msr", str(fwd / "msr.csv"),
+               "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert str(fwd / "msr.csv") in err and problem in err
 
 
 def test_numeric_failure_is_exit_3(tmp_path):
@@ -183,14 +226,6 @@ def test_numeric_failure_is_exit_3(tmp_path):
 
 
 # ---- presets ----
-
-def test_preset_files_match_generator():
-    import importlib.resources
-    pkg = importlib.resources.files("crackmusic") / "presets"
-    for name in PRESET_NAMES:
-        on_disk = json.loads((pkg / f"{name}.json").read_text())
-        assert on_disk == preset_config(name)
-
 
 def test_config_roundtrip(tmp_path):
     cfg = preset_config("fig2")

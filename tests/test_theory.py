@@ -10,7 +10,6 @@ from crackmusic import (ImageGrid, TheoryParams, assemble_msr, compare_maps,
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
 from crackmusic.special import bessel_j0
-from crackmusic.theory import save_report
 
 K1 = 2 * np.pi / 0.5
 J0_FIRST_ZERO = 2.404825557695773
@@ -182,11 +181,3 @@ def test_compare_grid_mismatch():
     b = theory_map(params3(15.0), ImageGrid(-1, 1, -1, 1, 0.1))
     with pytest.raises(ValueError):
         compare_maps(a, b, params3(15.0))
-
-
-def test_save_report(tmp_path):
-    import json
-    rep = {"max_dev": 0.1, "mean_dev": 0.01, "excluded_count": 3,
-           "compared_count": 7}
-    save_report(rep, tmp_path / "r.json")
-    assert json.loads((tmp_path / "r.json").read_text()) == rep
