@@ -34,7 +34,7 @@ def _load_schema():
     pkg = importlib.resources.files("crackmusic.schemas")
     run = json.loads((pkg / "runconfig.schema.json").read_text())
     scene = json.loads((pkg / "scene.schema.json").read_text())
-    run["properties"]["scene"]["oneOf"][0] = scene   # inline the cross-file ref
+    run["properties"]["scene"] = scene   # a {"file": ...} scene is read in first
     return run
 
 
@@ -60,11 +60,18 @@ def load_config(args):
         cfg["grid"] = {"x0": x0, "x1": x1, "y0": y0, "y1": y1, "step": step}
     if args.signal_dim:
         cfg["signal_dim"] = _parse_signal_dim(args.signal_dim)
+    sc = cfg.get("scene") if isinstance(cfg, dict) else None
+    if isinstance(sc, dict) and list(sc) == ["file"] and isinstance(sc["file"], str):
+        with open(sc["file"]) as f:
+            cfg["scene"] = json.load(f)
     try:
         jsonschema.validate(cfg, _load_schema())
     except jsonschema.ValidationError as e:
         where = "/".join(str(p) for p in e.absolute_path) or "top level"
         raise ConfigError(f"config does not match schema at {where}: {e.message}") from e
+    g = cfg["grid"]
+    if g["x1"] < g["x0"] or g["y1"] < g["y0"]:
+        raise ConfigError(f"grid ranges must be nonempty (x0 <= x1, y0 <= y1): {g}")
     return cfg
 
 
@@ -83,11 +90,7 @@ def _parse_signal_dim(spec):
 
 
 def _scene(cfg):
-    sc = cfg["scene"]
-    if "file" in sc:
-        with open(sc["file"]) as f:
-            sc = json.load(f)
-    return scene_from_dict(sc)
+    return scene_from_dict(cfg["scene"])
 
 
 def _dirs(cfg):

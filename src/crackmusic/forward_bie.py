@@ -32,6 +32,7 @@ from .forward_asym import MsrMatrix
 from .scene import ParametricCrack, SegmentCrack
 
 _EULER_GAMMA = 0.5772156649015329
+_N_START, _N_MAX, _TOL = 64, 4096, 1e-6   # auto node-count refinement
 
 
 class _Parametrization:
@@ -108,11 +109,11 @@ def _log_rows(tau, n_basis):
     return rows
 
 
-def _build_system(param, k, n):
-    t = _cheb_nodes(n)
-    s = _smooth_kernel(param, k, t, t)
-    a = _log_rows(t, n) + (np.pi / n) * (s @ _cheb_matrix(t, n))
-    return t, a
+def _operator_rows(param, k, tau, nodes):
+    """Rows of the single-layer operator on T_j, evaluated at parameters tau."""
+    n = nodes.size
+    s = _smooth_kernel(param, k, tau, nodes)
+    return _log_rows(tau, n) + (np.pi / n) * (s @ _cheb_matrix(nodes, n))
 
 
 def solve_scatter(crack, k, inc, n=64):
@@ -127,7 +128,8 @@ def solve_scatter(crack, k, inc, n=64):
         raise ValueError("node count must be even and >= 8")
     inc = np.atleast_2d(np.asarray(inc, dtype=float))
     param = _Parametrization(crack)
-    t, a = _build_system(param, k, n)
+    t = _cheb_nodes(n)
+    a = _operator_rows(param, k, t, t)
     rhs = -np.exp(1j * k * (param.point(t) @ inc.T))
     try:
         lu = lu_factor(a)
@@ -145,39 +147,40 @@ def boundary_field(density, tau):
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     param = _Parametrization(density.crack)
     k = density.wavenumber
-    n = density.n
-    s = _smooth_kernel(param, k, tau, density.nodes)
-    rows = _log_rows(tau, n) + (np.pi / n) * (s @ _cheb_matrix(density.nodes, n))
-    u_s = rows @ density.coeffs
+    u_s = _operator_rows(param, k, tau, density.nodes) @ density.coeffs
     u_i = np.exp(1j * k * (param.point(tau) @ density.inc.T))
     return u_i + u_s
 
 
-def farfield_bie(density, crack, k, obs):
+def farfield_bie(density, obs):
     """Far-field value(s) of the solved density at observation direction(s)."""
-    if crack is not density.crack or k != density.wavenumber:
-        raise ValueError("density was solved for a different crack or wavenumber")
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    param = _Parametrization(crack)
-    phase = np.exp(-1j * k * (param.point(density.nodes) @ obs.T))   # (n, n_obs)
+    param = _Parametrization(density.crack)
+    phase = np.exp(-1j * density.wavenumber * (param.point(density.nodes) @ obs.T))
     ff = -(np.pi / density.n) * (phase.T @ density.values)           # (n_obs, n_inc)
     if ff.size == 1:
         return complex(ff[0, 0])
     return ff
 
 
-def converged_n(crack, k, n0=64, tol=1e-6, n_max=4096):
-    """Smallest node count (doubling from n0) with far-field self-convergence."""
-    probe_inc = np.array([1.0, 0.0])
-    probe_obs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]])
-    n = n0
-    prev = farfield_bie(solve_scatter(crack, k, probe_inc, n), crack, k, probe_obs)
-    while n <= n_max:
-        cur = farfield_bie(solve_scatter(crack, k, probe_inc, 2 * n), crack, k, probe_obs)
-        if np.max(np.abs(cur - prev)) < tol:
-            return n
-        prev, n = cur, 2 * n
-    raise ArithmeticError(f"far field did not self-converge below {tol} by n={n_max}")
+def _farfield_block(crack, k, th, n=None):
+    """The obs = -inc far-field block of one crack and the node count it used.
+
+    With n=None the node count doubles from _N_START until the whole block
+    self-converges, max|F_2n - F_n| < _TOL max|F_2n|; the finer block F_2n
+    is the one returned.
+    """
+    if n is not None:
+        return farfield_bie(solve_scatter(crack, k, th, n), -th), n
+    n = _N_START
+    prev = farfield_bie(solve_scatter(crack, k, th, n), -th)
+    while n < _N_MAX:
+        n *= 2
+        cur = farfield_bie(solve_scatter(crack, k, th, n), -th)
+        if np.max(np.abs(cur - prev)) < _TOL * np.max(np.abs(cur)):
+            return cur, n
+        prev = cur
+    raise ArithmeticError(f"far field did not self-converge to {_TOL} by n={_N_MAX}")
 
 
 def assemble_msr_bie(scene, dirs, n=None):
@@ -185,16 +188,13 @@ def assemble_msr_bie(scene, dirs, n=None):
 
     Multi-crack scenes use superposition of single-crack solves, consistent
     with the separation assumption (inter-crack multiple scattering ignored).
-    With n=None the node count per crack is found by converged_n (far-field
-    self-convergence to 1e-6).
+    With n=None each crack's node count is refined (see _farfield_block);
+    extra["bie_n"] lists the node count of each crack.
     """
     th = dirs.vectors()
     k = scene.wavenumber
-    entries = np.zeros((dirs.n, dirs.n), dtype=np.complex128)
-    for crack in scene.cracks:
-        nc = n if n is not None else converged_n(crack, k)
-        dens = solve_scatter(crack, k, th, nc)
-        entries += farfield_bie(dens, crack, k, -th)   # obs_j = -theta_j
+    blocks, bie_n = zip(*(_farfield_block(crack, k, th, n) for crack in scene.cracks))
+    entries = np.sum(blocks, axis=0)
     recip = float(np.linalg.norm(entries - entries.T) / np.linalg.norm(entries))
-    return MsrMatrix(entries=entries, directions=dirs, wavenumber=k,
-                     provenance="bie", extra={"reciprocity_defect": recip})
+    return MsrMatrix(entries=entries, directions=dirs, wavenumber=k, provenance="bie",
+                     extra={"reciprocity_defect": recip, "bie_n": list(bie_n)})

@@ -55,6 +55,7 @@ def test_forward_bie_sidecar_audit(tmp_path):
     meta = json.loads((out / "msr.json").read_text())
     assert meta["provenance"] == "bie"
     assert meta["reciprocity_defect"] < 1e-6
+    assert meta["bie_n"] == [32, 32, 32]
 
 
 # ---- image ----
@@ -172,8 +173,8 @@ def test_schema_violation_is_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--signal-dim=banana", "--signal-dim=manual:abc",
-                                  "--grid=a,1,-1,1,0.1"],
-                         ids=["banana", "manual-abc", "grid-abc"])
+                                  "--grid=a,1,-1,1,0.1", "--grid=1,0,-1,1,0.1"],
+                         ids=["banana", "manual-abc", "grid-abc", "grid-reversed"])
 def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag):
     assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "o"), flag) == 2
 
@@ -188,6 +189,15 @@ def test_schema_violation_names_the_field(tmp_path, capsys, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert field in capsys.readouterr().err
+
+
+def test_scene_file_is_schema_checked(tmp_path, capsys):
+    scene = preset_config("fig1")["scene"]
+    del scene["wavenumber"]
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    cfg = write_cfg(tmp_path, scene={"file": str(tmp_path / "scene.json")})
+    assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "wavenumber" in capsys.readouterr().err
 
 
 def _set_sidecar(key, value):

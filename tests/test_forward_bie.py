@@ -4,12 +4,13 @@ import pytest
 from crackmusic import (Scene, SegmentCrack, ParametricCrack, assemble_msr,
                         assemble_msr_bie, farfield_asym, farfield_bie,
                         make_directions, solve_scatter)
-from crackmusic.forward_bie import boundary_field, converged_n
+from crackmusic.forward_bie import boundary_field
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
 
 K1 = 2 * np.pi / 0.5
 GAMMA1 = SegmentCrack(center=(-0.6, -0.2), half_length=0.05, angle=0.0)
+GAMMA2 = SegmentCrack(center=(0.2, -0.1), half_length=0.2, angle=0.4)
 
 
 def test_boundary_residual_small_crack():
@@ -44,21 +45,44 @@ def test_density_linearity_superposition():
     assert both.coeffs.shape[1] == 1
 
 
+def _one_crack(crack):
+    return Scene(cracks=(crack,), wavenumber=K1)
+
+
 def test_n_refinement_self_convergence():
+    dirs = make_directions(8, "closed")
+    msr = assemble_msr_bie(_one_crack(GAMMA1), dirs)
+    assert msr.extra["bie_n"] == [128]
     obs = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    prev = farfield_bie(solve_scatter(GAMMA1, K1, np.array([1.0, 0.0]), 64),
-                        GAMMA1, K1, obs)
-    cur = farfield_bie(solve_scatter(GAMMA1, K1, np.array([1.0, 0.0]), 128),
-                       GAMMA1, K1, obs)
+    prev = farfield_bie(solve_scatter(GAMMA1, K1, np.array([1.0, 0.0]), 64), obs)
+    cur = farfield_bie(solve_scatter(GAMMA1, K1, np.array([1.0, 0.0]), 128), obs)
     assert np.max(np.abs(cur - prev)) < 1e-6
-    assert converged_n(GAMMA1, K1) <= 128
+
+
+def test_auto_n_block_is_the_solve_at_the_reported_n():
+    # the refinement keeps the block it checked: re-solving every crack at
+    # the reported node count reproduces the entries bit for bit
+    sc, dirs = _one_crack(GAMMA2), make_directions(8, "closed")
+    auto = assemble_msr_bie(sc, dirs)
+    (n,) = auto.extra["bie_n"]
+    fixed = assemble_msr_bie(sc, dirs, n=n)
+    assert fixed.extra["bie_n"] == [n]
+    assert np.array_equal(auto.entries, fixed.entries)
+
+
+def test_auto_n_block_is_within_tolerance_of_a_finer_solve():
+    sc, dirs = _one_crack(GAMMA2), make_directions(8, "closed")
+    auto = assemble_msr_bie(sc, dirs)
+    finer = assemble_msr_bie(sc, dirs, n=2 * auto.extra["bie_n"][0])
+    err = np.max(np.abs(auto.entries - finer.entries))
+    assert err < 1e-6 * np.max(np.abs(auto.entries))
 
 
 def test_reciprocity_two_independent_solves():
     v = np.array([0.3, np.sqrt(1 - 0.09)])
     t = np.array([1.0, 0.0])
-    f1 = farfield_bie(solve_scatter(GAMMA1, K1, t, 64), GAMMA1, K1, v)
-    f2 = farfield_bie(solve_scatter(GAMMA1, K1, -v, 64), GAMMA1, K1, -t)
+    f1 = farfield_bie(solve_scatter(GAMMA1, K1, t, 64), v)
+    f2 = farfield_bie(solve_scatter(GAMMA1, K1, -v, 64), -t)
     assert abs(f1 - f2) / abs(f1) < 1e-6
 
 
@@ -71,7 +95,7 @@ def test_asymptotic_matching_trend():
     for h in (0.05, 0.01, 0.002):
         c = SegmentCrack(center=(0.0, 0.0), half_length=h)
         sc = Scene(cracks=(c,), wavenumber=K1)
-        fb = farfield_bie(solve_scatter(c, K1, t, 64), c, K1, v)
+        fb = farfield_bie(solve_scatter(c, K1, t, 64), v)
         fa = farfield_asym(v, t, sc, h)
         devs.append(abs(fb - fa) / abs(fa))
     assert devs[0] > devs[1] > devs[2]
@@ -84,7 +108,7 @@ def test_zero_length_log_decay():
     mags = {}
     for h in (1e-2, 1e-3, 1e-4):
         c = SegmentCrack(center=(0.0, 0.0), half_length=h)
-        mags[h] = abs(farfield_bie(solve_scatter(c, K1, t, 32), c, K1, v))
+        mags[h] = abs(farfield_bie(solve_scatter(c, K1, t, 32), v))
     scaled = [mags[h] * abs(np.log(h / 2.0)) for h in (1e-2, 1e-3, 1e-4)]
     assert mags[1e-2] > mags[1e-3] > mags[1e-4]
     assert max(scaled) / min(scaled) < 1.5
@@ -116,11 +140,3 @@ def test_solver_argument_validation():
     with pytest.raises(ValueError):
         solve_scatter(GAMMA1, -1.0, np.array([1.0, 0.0]), 16)
 
-
-def test_farfield_rejects_mismatched_inputs():
-    dens = solve_scatter(GAMMA1, K1, np.array([1.0, 0.0]), 16)
-    other = SegmentCrack(center=(0.0, 0.0), half_length=0.05)
-    with pytest.raises(ValueError):
-        farfield_bie(dens, other, K1, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        farfield_bie(dens, GAMMA1, 2 * K1, np.array([1.0, 0.0]))
