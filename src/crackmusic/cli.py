@@ -61,9 +61,13 @@ def load_config(args):
     if args.signal_dim:
         cfg["signal_dim"] = _parse_signal_dim(args.signal_dim)
     sc = cfg.get("scene") if isinstance(cfg, dict) else None
-    if isinstance(sc, dict) and list(sc) == ["file"] and isinstance(sc["file"], str):
-        with open(sc["file"]) as f:
-            cfg["scene"] = json.load(f)
+    if isinstance(sc, dict) and "file" in sc:
+        if list(sc) != ["file"]:
+            raise ConfigError(f'a scene given as {{"file": path}} takes no other keys; '
+                              f'found {sorted(set(sc) - {"file"})}')
+        if isinstance(sc["file"], str):   # relative to the config file; presets have none
+            with open(Path(args.config).parent / sc["file"]) as f:
+                cfg["scene"] = json.load(f)
     try:
         jsonschema.validate(cfg, _load_schema())
     except jsonschema.ValidationError as e:
@@ -72,6 +76,8 @@ def load_config(args):
     g = cfg["grid"]
     if g["x1"] < g["x0"] or g["y1"] < g["y0"]:
         raise ConfigError(f"grid ranges must be nonempty (x0 <= x1, y0 <= y1): {g}")
+    if not cfg.get("snr_db", np.inf) > -np.inf:
+        raise ConfigError(f"snr_db must be a number or +inf (no noise), not {cfg['snr_db']}")
     return cfg
 
 
@@ -94,8 +100,7 @@ def _scene(cfg):
 
 
 def _dirs(cfg):
-    d = cfg["directions"]
-    return make_directions(d["n"], d.get("mode", "closed"))
+    return make_directions(cfg["directions"]["n"])
 
 
 def _grid(cfg):
@@ -112,9 +117,8 @@ def _signal_space(msr, cfg):
     return music.select_signal_dim(music.svd_msr(msr), **_signal_dim(cfg))
 
 
-def _theory_params(cfg, scene, eta):
-    return TheoryParams(wavenumber=scene.wavenumber, eta=eta, centers=scene.centers(),
-                        variant=cfg.get("theory_variant", "squared"))
+def _theory_params(scene, eta):
+    return TheoryParams(wavenumber=scene.wavenumber, eta=eta, centers=scene.centers())
 
 
 def compute_msr(cfg):
@@ -125,7 +129,7 @@ def compute_msr(cfg):
             raise ConfigError("asymptotic forward model requires h")
         msr = assemble_msr(scene, cfg["h"], dirs)
     else:
-        msr = assemble_msr_bie(scene, dirs, n=cfg.get("bie_n"))
+        msr = assemble_msr_bie(scene, dirs)
     if "snr_db" in cfg:
         msr = add_awgn(msr, cfg["snr_db"], cfg.get("seed", 0))
     return msr
@@ -195,7 +199,7 @@ def cmd_theory(cfg, args, out):
     scene = _scene(cfg)
     grid = _grid(cfg)
     for eta in cfg["etas"]:
-        tmap = theory.theory_map(_theory_params(cfg, scene, eta), grid)
+        tmap = theory.theory_map(_theory_params(scene, eta), grid)
         tag = _etatag(eta)
         music.save_map_csv(tmap, out / f"theory_eta{tag}.csv")
         music.save_map_pgm(tmap, out / f"theory_eta{tag}.pgm")
@@ -208,12 +212,11 @@ def cmd_compare(cfg, args, out):
     msr = _get_msr(args, cfg)
     space = _signal_space(msr, cfg)
     grid = _grid(cfg)
-    excl = cfg.get("exclusion_radius", 0.5)
     for eta in cfg["etas"]:
         imap = music.imaging_map(space, grid, eta, msr.directions)
-        params = _theory_params(cfg, scene, eta)
+        params = _theory_params(scene, eta)
         tmap = theory.theory_map(params, grid)
-        report = theory.compare_maps(imap, tmap, params, exclusion_radius=excl)
+        report = theory.compare_maps(imap, tmap, params)
         report["eta"] = eta
         _write_json(report, out / f"compare_eta{_etatag(eta)}.json")
         print(out / f"compare_eta{_etatag(eta)}.json")
@@ -235,13 +238,22 @@ def cmd_calibrate(cfg, args, out):
     return 0
 
 
-_COMMANDS = {
-    "forward": cmd_forward,
-    "image": cmd_image,
-    "svd": cmd_svd,
-    "theory": cmd_theory,
-    "compare": cmd_compare,
-    "calibrate": cmd_calibrate,
+_OVERRIDES = {   # flag -> add_argument keywords; its attribute is the flag with "_" for "-"
+    "--msr": {"help": "existing MSR CSV file (sidecar: same name .json)"},
+    "--eta": {"type": float, "action": "append",
+              "help": "probe wavenumber (repeatable; overrides config)"},
+    "--snr-db": {"type": float},
+    "--seed": {"type": int},
+    "--grid": {"help": '"x0,x1,y0,y1,step"'},
+    "--signal-dim": {"help": "manual:M | log_gap | threshold:T"},
+}
+_COMMANDS = {    # each command and the overrides it reads; argparse rejects the others
+    "forward": (cmd_forward, "--snr-db --seed"),
+    "image": (cmd_image, " ".join(_OVERRIDES)),
+    "svd": (cmd_svd, "--msr --snr-db --seed --signal-dim"),
+    "theory": (cmd_theory, "--eta --grid"),
+    "compare": (cmd_compare, " ".join(_OVERRIDES)),
+    "calibrate": (cmd_calibrate, "--msr --snr-db --seed --grid --signal-dim"),
 }
 
 
@@ -249,21 +261,15 @@ def build_parser():
     p = argparse.ArgumentParser(prog="crackmusic",
                                 description="MUSIC-type crack imaging from multistatic far-field data")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name, (fn, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="run configuration JSON file")
         sp.add_argument("--preset", choices=presets.PRESET_NAMES,
                         help="use a built-in configuration")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--msr", help="existing MSR CSV file (sidecar: same name .json)")
-        sp.add_argument("--eta", type=float, action="append",
-                        help="probe wavenumber (repeatable; overrides config)")
-        sp.add_argument("--snr-db", dest="snr_db", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--grid", help='"x0,x1,y0,y1,step"')
-        sp.add_argument("--signal-dim", dest="signal_dim",
-                        help="manual:M | log_gap | threshold:T")
-        sp.set_defaults(fn=fn)
+        for flag in flags.split():
+            sp.add_argument(flag, **_OVERRIDES[flag])
+        sp.set_defaults(fn=fn, **{f[2:].replace("-", "_"): None for f in _OVERRIDES})
     return p
 
 

@@ -58,7 +58,6 @@ class ImageMap:
     grid: ImageGrid
     values: np.ndarray            # (ny, nx), values[iy, ix] at (xs[ix], ys[iy])
     eta: float
-    m: int = None
 
 
 def svd_msr(msr):
@@ -143,7 +142,7 @@ def imaging_map(space, grid, eta, dirs):
             p = (f @ noise).view(np.float64)
             r = np.sqrt(np.einsum("ij,ij->i", p, p))
             values[i:i + rows] = 1.0 / np.maximum(r, EPS_CLAMP).reshape(-1, xs.size)
-    return ImageMap(grid=grid, values=values, eta=eta, m=space.m)
+    return ImageMap(grid=grid, values=values, eta=eta)
 
 
 @dataclass(frozen=True)

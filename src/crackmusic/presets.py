@@ -50,7 +50,7 @@ def _config(k, cracks, n, etas, signal_dim):
         "scene": {"wavenumber": k, "cracks": cracks},
         "forward": "asym",
         "h": CRACK_H,
-        "directions": {"n": n, "mode": "closed"},
+        "directions": {"n": n},
         "etas": etas,
         "grid": dict(_GRID),
         "signal_dim": signal_dim,

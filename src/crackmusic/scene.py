@@ -131,12 +131,13 @@ def separation_ok(scene, separation_factor=5.0):
 
 
 def incident_field(x, theta, k):
-    """Plane wave exp(i k theta . x); theta must be a unit vector."""
+    """Plane wave(s) exp(i k theta . x); theta is one unit vector, or an
+    (n_inc, 2) array of them for one column per direction."""
     theta = np.asarray(theta, dtype=float)
-    if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
+    if np.any(np.abs(np.linalg.norm(theta, axis=-1) - 1.0) > 1e-12):
         raise ValueError("incident direction must be a unit vector")
     x = np.asarray(x, dtype=float)
-    return np.exp(1j * k * (x @ theta))
+    return np.exp(1j * k * (x @ theta.T))
 
 
 # --- JSON scene format (documented in schemas/scene.schema.json) ---

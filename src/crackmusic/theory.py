@@ -18,6 +18,7 @@ from .music import ImageGrid, ImageMap
 from .special import bessel_j0
 
 _EPS = 1e-12
+EXCLUSION_RADIUS = 0.5     # phase distance around each predicted peak left out of comparisons
 _BLOCK_ELEMS = 1 << 16     # point-centre distances per J0 call
 
 
@@ -66,8 +67,7 @@ def theory_map(params, grid):
         raise ValueError("empty grid")
     rad = np.maximum(_radicand(params, pts), _EPS)
     ny, nx = grid.ys().size, grid.xs().size
-    return ImageMap(grid=grid, values=(1.0 / np.sqrt(rad)).reshape(ny, nx),
-                    eta=params.eta, m=params.centers.shape[0])
+    return ImageMap(grid=grid, values=(1.0 / np.sqrt(rad)).reshape(ny, nx), eta=params.eta)
 
 
 def phase_distance(params, pts):
@@ -80,17 +80,17 @@ def phase_distance(params, pts):
     return d
 
 
-def compare_maps(a, b, params, exclusion_radius=0.5):
+def compare_maps(a, b, params):
     """Relative deviation of two maps away from the predicted peaks.
 
-    Grid points with phase distance min_m |eta x - k z_m| <= exclusion_radius
+    Grid points with phase distance min_m |eta x - k z_m| <= EXCLUSION_RADIUS
     are excluded, as are points where either map is clamp-dominated (value
     within three decades of the clamp ceiling).  Returns a dict report.
     """
     if a.grid != b.grid:
         raise ValueError("maps must share a grid")
     pts = a.grid.points()
-    keep = phase_distance(params, pts) > exclusion_radius
+    keep = phase_distance(params, pts) > EXCLUSION_RADIUS
     near_clamp = 1.0 / np.sqrt(_EPS) * 1e-3
     keep &= (a.values.ravel() < near_clamp) & (b.values.ravel() < near_clamp)
     va = a.values.ravel()[keep]

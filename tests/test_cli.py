@@ -50,12 +50,12 @@ def test_forward_noisy_is_reproducible(tmp_path):
 
 def test_forward_bie_sidecar_audit(tmp_path):
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, forward="bie", bie_n=32)
+    cfg = write_cfg(tmp_path, forward="bie")
     assert run("forward", "--config", cfg, "--out", str(out)) == 0
     meta = json.loads((out / "msr.json").read_text())
     assert meta["provenance"] == "bie"
     assert meta["reciprocity_defect"] < 1e-6
-    assert meta["bie_n"] == [32, 32, 32]
+    assert meta["bie_n"] == [128, 128, 128]
 
 
 # ---- image ----
@@ -173,22 +173,46 @@ def test_schema_violation_is_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--signal-dim=banana", "--signal-dim=manual:abc",
-                                  "--grid=a,1,-1,1,0.1", "--grid=1,0,-1,1,0.1"],
-                         ids=["banana", "manual-abc", "grid-abc", "grid-reversed"])
+                                  "--grid=a,1,-1,1,0.1", "--grid=1,0,-1,1,0.1",
+                                  "--snr-db=nan"],
+                         ids=["banana", "manual-abc", "grid-abc", "grid-reversed",
+                              "snr-nan"])
 def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag):
-    assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "o"), flag) == 2
+    assert run("image", "--preset", "fig1", "--out", str(tmp_path / "o"), flag) == 2
 
 
 @pytest.mark.parametrize("overrides, field", [
     ({"signal_dim": {"method": "manual"}}, "signal_dim: 'm'"),
     ({"signal_dim": {"method": "threshold"}}, "signal_dim: 'tau'"),
-    ({"forward": "bie", "bie_n": 9}, "bie_n"),
+    ({"forward": "bie", "bie_n": 64}, "'bie_n'"),
+    ({"theory_variant": "linear"}, "'theory_variant'"),
+    ({"exclusion_radius": 0.5}, "'exclusion_radius'"),
+    ({"directions": {"n": 16, "mode": "open"}}, "'mode'"),
     ({"calibration": {"y": [0.0, -1.0], "eta": 20.0, "kind": "extended"}}, "'kind'"),
-], ids=["manual-without-m", "threshold-without-tau", "odd-bie_n", "calibration-kind"])
+    ({"calibration": {"y": [0.0, -0.0], "eta": 20.0}}, "calibration/y"),
+    ({"scene": {"file": "scene.json", "wavenumber": K1}}, "['wavenumber']"),
+    ({"snr_db": float("-inf")}, "snr_db"),
+], ids=["manual-without-m", "threshold-without-tau", "bie_n", "theory_variant",
+        "exclusion_radius", "directions-mode", "calibration-kind", "calibration-origin",
+        "scene-file-extra-key", "snr-minus-inf"])
 def test_schema_violation_names_the_field(tmp_path, capsys, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("calibrate", "--preset", "fig4", "--eta=15"),
+    ("theory", "--preset", "fig1", "--msr=x.csv"),
+    ("theory", "--preset", "fig1", "--seed=1"),
+    ("forward", "--preset", "fig1", "--grid=-2,2,-2,2,0.04"),
+    ("svd", "--preset", "fig1", "--eta=15"),
+], ids=["calibrate-eta", "theory-msr", "theory-seed", "forward-grid", "svd-eta"])
+def test_flag_the_command_does_not_read_is_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as e:
+        run(*argv, "--out", str(tmp_path / "o"))
+    assert e.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_scene_file_is_schema_checked(tmp_path, capsys):
@@ -198,6 +222,16 @@ def test_scene_file_is_schema_checked(tmp_path, capsys):
     cfg = write_cfg(tmp_path, scene={"file": str(tmp_path / "scene.json")})
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert "wavenumber" in capsys.readouterr().err
+
+
+def test_scene_file_is_relative_to_the_config(tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "cfgdir"
+    cfg_dir.mkdir()
+    (cfg_dir / "scene.json").write_text(json.dumps(preset_config("fig1")["scene"]))
+    write_cfg(cfg_dir, scene={"file": "scene.json"})
+    monkeypatch.chdir(tmp_path)
+    assert run("forward", "--config", "cfgdir/cfg.json", "--out", "o") == 0
+    assert (tmp_path / "o" / "msr.csv").exists()
 
 
 def _set_sidecar(key, value):

@@ -4,6 +4,7 @@ import pytest
 from crackmusic import (Scene, SegmentCrack, ParametricCrack, assemble_msr,
                         assemble_msr_bie, farfield_asym, farfield_bie,
                         make_directions, solve_scatter)
+from crackmusic import forward_bie
 from crackmusic.forward_bie import boundary_field
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
@@ -59,22 +60,26 @@ def test_n_refinement_self_convergence():
     assert np.max(np.abs(cur - prev)) < 1e-6
 
 
+def _block_at(crack, dirs, n):
+    """The obs = -inc far-field block of one crack solved at n nodes."""
+    th = dirs.vectors()
+    return farfield_bie(solve_scatter(crack, K1, th, n), -th)
+
+
 def test_auto_n_block_is_the_solve_at_the_reported_n():
-    # the refinement keeps the block it checked: re-solving every crack at
+    # the refinement keeps the block it checked: re-solving the crack at
     # the reported node count reproduces the entries bit for bit
-    sc, dirs = _one_crack(GAMMA2), make_directions(8, "closed")
-    auto = assemble_msr_bie(sc, dirs)
+    dirs = make_directions(8, "closed")
+    auto = assemble_msr_bie(_one_crack(GAMMA2), dirs)
     (n,) = auto.extra["bie_n"]
-    fixed = assemble_msr_bie(sc, dirs, n=n)
-    assert fixed.extra["bie_n"] == [n]
-    assert np.array_equal(auto.entries, fixed.entries)
+    assert np.array_equal(auto.entries, _block_at(GAMMA2, dirs, n))
 
 
 def test_auto_n_block_is_within_tolerance_of_a_finer_solve():
-    sc, dirs = _one_crack(GAMMA2), make_directions(8, "closed")
-    auto = assemble_msr_bie(sc, dirs)
-    finer = assemble_msr_bie(sc, dirs, n=2 * auto.extra["bie_n"][0])
-    err = np.max(np.abs(auto.entries - finer.entries))
+    dirs = make_directions(8, "closed")
+    auto = assemble_msr_bie(_one_crack(GAMMA2), dirs)
+    finer = _block_at(GAMMA2, dirs, 2 * auto.extra["bie_n"][0])
+    err = np.max(np.abs(auto.entries - finer))
     assert err < 1e-6 * np.max(np.abs(auto.entries))
 
 
@@ -122,8 +127,9 @@ def test_assemble_msr_bie_three_cracks():
                                 angle=c.angle) for c in base.cracks)
     sc = Scene(cracks=cracks, wavenumber=base.wavenumber)
     dirs = make_directions(16, "closed")
-    msr = assemble_msr_bie(sc, dirs, n=64)
+    msr = assemble_msr_bie(sc, dirs)
     assert msr.provenance == "bie"
+    assert msr.extra["bie_n"] == [128] * 3
     k = msr.entries
     assert np.linalg.norm(k - k.T) / np.linalg.norm(k) < 1e-6
     s = np.linalg.svd(k, compute_uv=False)
@@ -139,4 +145,14 @@ def test_solver_argument_validation():
         solve_scatter(GAMMA1, K1, np.array([1.0, 0.0]), 11)   # odd
     with pytest.raises(ValueError):
         solve_scatter(GAMMA1, -1.0, np.array([1.0, 0.0]), 16)
+    with pytest.raises(ValueError, match="unit vector"):
+        solve_scatter(GAMMA1, K1, np.array([2.0, 0.0]), 16)
+    with pytest.raises(ValueError, match="unit vector"):
+        solve_scatter(GAMMA1, K1, np.array([[1.0, 0.0], [0.0, 0.5]]), 16)
 
+
+def test_singular_system_is_an_arithmetic_error(monkeypatch):
+    monkeypatch.setattr(forward_bie, "_operator_rows",
+                        lambda param, k, tau, nodes: np.zeros((tau.size, nodes.size)))
+    with pytest.raises(ArithmeticError):
+        solve_scatter(GAMMA1, K1, np.array([1.0, 0.0]), 16)
