@@ -41,11 +41,9 @@ def _load_schema():
 def load_config(args):
     if args.preset:
         cfg = presets.preset_config(args.preset)
-    elif args.config:
+    else:
         with open(args.config) as f:
             cfg = json.load(f)
-    else:
-        raise ConfigError("one of --config or --preset is required")
     if args.eta:
         cfg["etas"] = list(args.eta)
     if args.snr_db is not None:
@@ -263,9 +261,10 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     for name, (fn, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", help="run configuration JSON file")
-        sp.add_argument("--preset", choices=presets.PRESET_NAMES,
-                        help="use a built-in configuration")
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="run configuration JSON file")
+        source.add_argument("--preset", choices=presets.PRESET_NAMES,
+                            help="use a built-in configuration")
         sp.add_argument("--out", required=True, help="output directory")
         for flag in flags.split():
             sp.add_argument(flag, **_OVERRIDES[flag])

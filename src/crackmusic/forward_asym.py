@@ -31,6 +31,11 @@ class MsrMatrix:
         e = np.asarray(self.entries, dtype=np.complex128)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("MSR matrix must be square")
+        if not np.all(np.isfinite(e)):
+            raise ValueError("matrix has non-finite entries")
+        if self.directions.n != e.shape[0]:
+            raise ValueError(f"{self.directions.n} directions for a matrix of dimension "
+                             f"{e.shape[0]}")
         object.__setattr__(self, "entries", e)
 
     @property
@@ -115,8 +120,6 @@ def load_msr(csv_path, sidecar_path):
     n = meta["n"]
     if entries.shape != (n, n):
         raise ValueError(f"matrix shape {entries.shape} does not match sidecar n = {n}")
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("matrix has non-finite entries")
     dirs = make_directions(n, meta.get("direction_mode", "closed"))
     extra = {k: v for k, v in meta.items()
              if k not in ("n", "wavenumber", "convention", "provenance", "direction_mode")}

@@ -4,30 +4,29 @@ Single-layer representation with the endpoint square-root singularity of the
 density absorbed into a Chebyshev weight: on the parameter interval [-1, 1]
 
     u_s(x) = int_{-1}^{1} Phi(x, y(t)) w(t) / sqrt(1 - t^2) dt,
-    Phi(x, y) = (i/4) H0^1(k |x - y|),
+    Phi(x, y) = (i/4) H0^1(k |x - y|).
 
-with w expanded in Chebyshev polynomials.  The logarithmic part of the kernel
-is integrated analytically via
+The unknowns are the values of w at the Chebyshev nodes.  The kernel splits
+as Phi = -J0(k r) ln|tau - t| / (2 pi) + M with M smooth; the log part is
+integrated exactly against the Chebyshev interpolant of J0 w (product
+integration, Kress 1995) via
 
-    int_{-1}^{1} ln|t - s| T_j(t) / sqrt(1 - t^2) dt = -pi ln 2    (j = 0),
-                                                     = -pi T_j(s)/j (j >= 1),
+    int_{-1}^{1} ln|tau - t| T_m(t) / sqrt(1 - t^2) dt = -pi ln 2    (m = 0),
+                                                        = -pi T_m(tau)/m (m >= 1),
 
-and the continuous remainder by Gauss-Chebyshev quadrature; collocation at the
-quadrature nodes yields a dense system solved directly.  Far-field values use
-the normalization that makes the small-crack asymptotic expansion hold: a
-conjugate-plane-wave integral of the density with prefactor -1 (the sign and
-scale are pinned by the asymptotic-matching test, since the expansion's
-far-field convention differs from the plain Sommerfeld one by sqrt(8 pi k)
-e^{-i pi/4} and a sign).
+and M by Gauss-Chebyshev quadrature, so the error falls spectrally in n.
+Collocation at the nodes yields a dense system solved directly.  Far-field
+values use the normalization that makes the small-crack asymptotic expansion
+hold: a conjugate-plane-wave integral of the density with prefactor -1 (the
+sign and scale are pinned by the asymptotic-matching test, since the
+expansion's far-field convention differs from the plain Sommerfeld one by
+sqrt(8 pi k) e^{-i pi/4} and a sign).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.special before scipy.interpolate: the reverse order costs start-up
-# about 3,700 more page faults (about 25 ms, measured on import of the CLI)
 from scipy.special import hankel1
-from scipy.interpolate import CubicSpline
 
 from .forward_asym import MsrMatrix
 from .scene import ParametricCrack, SegmentCrack, incident_field
@@ -47,6 +46,8 @@ class _Parametrization:
             self.deriv = lambda t: np.broadcast_to(crack.half_length * d,
                                                    (np.atleast_1d(t).size, 2)).copy()
         elif isinstance(crack, ParametricCrack):
+            from scipy.interpolate import CubicSpline
+
             pts = crack.points
             s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
             u = 2.0 * s / s[-1] - 1.0
@@ -60,14 +61,13 @@ class _Parametrization:
 
 @dataclass(frozen=True)
 class ArcDensity:
-    """Chebyshev-coefficient layer density for one crack at one wavenumber.
+    """Layer density of one crack at one wavenumber, by its values at the nodes.
 
-    coeffs has shape (n, n_inc): one column per incident direction.
+    values has shape (n, n_inc): one column per incident direction.
     """
 
-    coeffs: np.ndarray
     nodes: np.ndarray
-    values: np.ndarray            # density w at the nodes, (n, n_inc)
+    values: np.ndarray
     wavenumber: float
     crack: object
     inc: np.ndarray               # (n_inc, 2) incident directions
@@ -81,40 +81,32 @@ def _cheb_nodes(n):
     return np.cos((2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n))
 
 
-def _cheb_matrix(t, n_basis):
-    return np.cos(np.outer(np.arccos(np.clip(t, -1.0, 1.0)), np.arange(n_basis)))
-
-
-def _smooth_kernel(param, k, t_row, t_col):
-    """S(t, s) = Phi(y(t), y(s)) + ln|t - s| / (2 pi), diagonal by its limit."""
-    pr = param.point(t_row)
-    pc = param.point(t_col)
-    diff = pr[:, None, :] - pc[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    dt = np.abs(t_row[:, None] - t_col[None, :])
-    out = np.empty(r.shape, dtype=np.complex128)
-    off = r > 0
-    out[off] = 0.25j * hankel1(0, k * r[off]) + np.log(dt[off]) / (2.0 * np.pi)
-    if np.any(~off):
-        speed = np.linalg.norm(param.deriv(t_row), axis=1)
-        diag = 0.25j - (np.log(0.5 * k * speed) + _EULER_GAMMA) / (2.0 * np.pi)
-        out[~off] = np.broadcast_to(diag[:, None], out.shape)[~off]
-    return out
-
-
-def _log_rows(tau, n_basis):
-    """Exact contribution of the -ln|t-s|/(2 pi) kernel part against T_j."""
-    rows = 0.5 * _cheb_matrix(tau, n_basis)
-    rows[:, 0] = 0.5 * np.log(2.0)
-    rows[:, 1:] /= np.arange(1, n_basis)
-    return rows
+def _cheb_matrix(t, degrees):
+    return np.cos(np.outer(np.arccos(np.clip(t, -1.0, 1.0)), degrees))
 
 
 def _operator_rows(param, k, tau, nodes):
-    """Rows of the single-layer operator on T_j, evaluated at parameters tau."""
+    """Rows of the single-layer operator on the nodal density, at parameters tau.
+
+    (pi/n) [M - J o L / (2 pi)]: J = J0(k r), L the exact log weights of the
+    Chebyshev interpolant, M = Phi + J ln|tau - s| / (2 pi), diagonal by its limit.
+    """
     n = nodes.size
-    s = _smooth_kernel(param, k, tau, nodes)
-    return _log_rows(tau, n) + (np.pi / n) * (s @ _cheb_matrix(nodes, n))
+    r = np.linalg.norm(param.point(tau)[:, None, :] - param.point(nodes)[None, :, :], axis=2)
+    dt = np.abs(tau[:, None] - nodes[None, :])
+    j0 = np.ones(r.shape)
+    m = np.empty(r.shape, dtype=np.complex128)
+    off = r > 0
+    h = hankel1(0, k * r[off])
+    j0[off] = h.real
+    m[off] = 0.25j * h + h.real * np.log(dt[off]) / (2.0 * np.pi)
+    if np.any(~off):
+        speed = np.linalg.norm(param.deriv(tau), axis=1)
+        diag = 0.25j - (np.log(0.5 * k * speed) + _EULER_GAMMA) / (2.0 * np.pi)
+        m[~off] = np.broadcast_to(diag[:, None], m.shape)[~off]
+    deg = np.arange(1, n)
+    log_w = -np.log(2.0) - 2.0 * (_cheb_matrix(tau, deg) / deg) @ _cheb_matrix(nodes, deg).T
+    return (np.pi / n) * (m - j0 * log_w / (2.0 * np.pi))
 
 
 def solve_scatter(crack, k, inc, n=64):
@@ -133,13 +125,11 @@ def solve_scatter(crack, k, inc, n=64):
     a = _operator_rows(param, k, t, t)
     rhs = -incident_field(param.point(t), inc, k)
     try:
-        coeffs = np.linalg.solve(a, rhs)
+        values = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as e:
         raise ArithmeticError(
             f"BIE system solve failed (near-resonant or degenerate geometry): {e}") from e
-    values = _cheb_matrix(t, n) @ coeffs
-    return ArcDensity(coeffs=coeffs, nodes=t, values=values, wavenumber=k,
-                      crack=crack, inc=inc)
+    return ArcDensity(nodes=t, values=values, wavenumber=k, crack=crack, inc=inc)
 
 
 def boundary_field(density, tau):
@@ -147,7 +137,7 @@ def boundary_field(density, tau):
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     param = _Parametrization(density.crack)
     k = density.wavenumber
-    u_s = _operator_rows(param, k, tau, density.nodes) @ density.coeffs
+    u_s = _operator_rows(param, k, tau, density.nodes) @ density.values
     return incident_field(param.point(tau), density.inc, k) + u_s
 
 

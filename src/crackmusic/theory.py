@@ -2,12 +2,9 @@
 
 For well-separated small cracks the imaging functional reduces to
 
-    E(x; eta) ~ (1 - sum_m J0(|eta x - k z_m|)^p)^(-1/2)
+    E(x; eta) ~ (1 - sum_m J0(|eta x - k z_m|)^2)^(-1/2),
 
-with p = 2 ("squared" variant, the form the derivation's algebra yields) or
-p = 1 ("linear" variant, the form the result is usually printed in).  The
-squared variant is the default; both are kept so their fit to the numeric
-pipeline can be compared.
+the squared form the derivation's algebra yields.
 """
 
 from dataclasses import dataclass
@@ -27,7 +24,6 @@ class TheoryParams:
     wavenumber: float             # true k of the data
     eta: float                    # probe wavenumber
     centers: np.ndarray           # (M, 2) crack centers
-    variant: str = "squared"      # squared | linear
 
     def __post_init__(self):
         if self.wavenumber <= 0 or self.eta <= 0:
@@ -35,21 +31,18 @@ class TheoryParams:
         c = np.atleast_2d(np.asarray(self.centers, dtype=float))
         if c.size == 0:
             raise ValueError("need at least one crack center")
-        if self.variant not in ("squared", "linear"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "centers", c)
 
 
 def _radicand(params, pts):
-    """1 - sum_m J0(|eta x - k z_m|)^p per point, over blocks of about _BLOCK_ELEMS distances."""
+    """1 - sum_m J0(|eta x - k z_m|)^2 per point, over blocks of about _BLOCK_ELEMS distances."""
     kz = params.wavenumber * params.centers
     rows = max(1, _BLOCK_ELEMS // kz.shape[0])
     out = np.empty(pts.shape[0])
     for i in range(0, pts.shape[0], rows):
         p = params.eta * pts[i:i + rows]
         j = bessel_j0(np.hypot(p[:, :1] - kz[:, 0], p[:, 1:] - kz[:, 1]))
-        if params.variant == "squared":
-            j *= j
+        j *= j
         out[i:i + rows] = 1.0 - j.sum(axis=1)
     return out
 

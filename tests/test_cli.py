@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,9 +159,19 @@ def test_calibrate_requires_section(tmp_path):
 # ---- errors and exit codes ----
 
 def test_missing_config_is_exit_2(tmp_path):
-    assert run("forward", "--out", str(tmp_path / "o")) == 2
+    with pytest.raises(SystemExit) as e:   # neither --config nor --preset
+        run("forward", "--out", str(tmp_path / "o"))
+    assert e.value.code == 2
     assert run("forward", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")) == 2
+
+
+def test_preset_and_config_together_is_exit_2(tmp_path):
+    with pytest.raises(SystemExit) as e:
+        run("forward", "--preset", "fig1", "--config", str(tmp_path / "nope.json"),
+            "--out", str(tmp_path / "o"))
+    assert e.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_json_is_exit_2(tmp_path):
@@ -267,6 +280,15 @@ def test_numeric_failure_is_exit_3(tmp_path):
     # manual M exceeding the matrix size fails inside the numerics
     assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "o"),
                "--signal-dim", "manual:99") == 3
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # scipy.interpolate costs start-up; only a BIE solve on an arc needs it
+    code = "import sys, crackmusic.cli; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---- presets ----

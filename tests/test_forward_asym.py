@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crackmusic import (Scene, SegmentCrack, assemble_msr, farfield_asym,
+from crackmusic import (MsrMatrix, Scene, SegmentCrack, assemble_msr, farfield_asym,
                         load_msr, make_directions, save_msr)
 from crackmusic.forward_asym import steering_matrix
 from crackmusic.presets import preset_config
@@ -89,3 +89,16 @@ def test_msr_file_round_trip(tmp_path):
     save_msr(back, tmp_path / "msr2.csv", tmp_path / "msr2.json")
     assert (tmp_path / "msr.json").read_bytes() == (tmp_path / "msr2.json").read_bytes()
     assert (tmp_path / "msr.csv").read_bytes() == (tmp_path / "msr2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_msr_matrix_rejects_non_finite_entries(bad):
+    e = np.ones((4, 4), dtype=complex)
+    e[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        MsrMatrix(entries=e, directions=make_directions(4), wavenumber=1.0)
+
+
+def test_msr_matrix_rejects_direction_count_mismatch():
+    with pytest.raises(ValueError, match="5 directions for a matrix of dimension 4"):
+        MsrMatrix(entries=np.ones((4, 4)), directions=make_directions(5), wavenumber=1.0)

@@ -19,9 +19,8 @@ def scene3():
     return scene_from_dict(preset_config("fig1")["scene"])
 
 
-def params3(eta, variant="squared"):
-    return TheoryParams(wavenumber=K1, eta=eta, centers=scene3().centers(),
-                        variant=variant)
+def params3(eta):
+    return TheoryParams(wavenumber=K1, eta=eta, centers=scene3().centers())
 
 
 # ---- point values ----
@@ -43,10 +42,6 @@ def test_value_matches_j0_formula():
     # |eta x - k z| = 10
     expect = 1.0 / np.sqrt(1.0 - bessel_j0(10.0) ** 2)
     assert theory_value(p, (10.0, 0.0)) == pytest.approx(expect, rel=1e-13)
-    p_lin = TheoryParams(wavenumber=1.0, eta=1.0, centers=[(0.0, 0.0)],
-                         variant="linear")
-    expect_lin = 1.0 / np.sqrt(1.0 - bessel_j0(10.0))
-    assert theory_value(p_lin, (10.0, 0.0)) == pytest.approx(expect_lin, rel=1e-13)
 
 
 def test_value_multi_center_sum():
@@ -65,8 +60,6 @@ def test_params_validation():
         TheoryParams(wavenumber=1.0, eta=0.0, centers=[(0, 0)])
     with pytest.raises(ValueError):
         TheoryParams(wavenumber=1.0, eta=1.0, centers=np.empty((0, 2)))
-    with pytest.raises(ValueError):
-        TheoryParams(wavenumber=1.0, eta=1.0, centers=[(0, 0)], variant="cubic")
 
 
 # ---- maps ----
@@ -144,9 +137,8 @@ def _numeric_map_single(grid, eta, h=1e-3):
     return imaging_map(sp, grid, eta, dirs)
 
 
-def params1(eta, variant="squared"):
-    return TheoryParams(wavenumber=K1, eta=eta, centers=[CENTER1],
-                        variant=variant)
+def params1(eta):
+    return TheoryParams(wavenumber=K1, eta=eta, centers=[CENTER1])
 
 
 def test_compare_map_with_itself_zero_dev():
@@ -164,16 +156,6 @@ def test_squared_variant_matches_numeric():
     rep = compare_maps(_numeric_map_single(g, eta), theory_map(params1(eta), g),
                        params1(eta))
     assert rep["max_dev"] < 0.05
-
-
-def test_linear_variant_fits_worse():
-    g = ImageGrid(-2, 2, -2, 2, 0.05)
-    eta = 15.0
-    num = _numeric_map_single(g, eta)
-    rep_sq = compare_maps(num, theory_map(params1(eta), g), params1(eta))
-    rep_lin = compare_maps(num, theory_map(params1(eta, "linear"), g),
-                           params1(eta, "linear"))
-    assert rep_lin["max_dev"] > rep_sq["max_dev"]
 
 
 def test_compare_grid_mismatch():
