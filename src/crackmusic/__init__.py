@@ -7,8 +7,7 @@ from .music import (ImageGrid, ImageMap, SignalSpace, find_peaks, imaging_map,
                     imaging_value, select_signal_dim, svd_msr)
 from .noise import add_awgn
 from .scene import (DirectionSet, ParametricCrack, Scene, SegmentCrack,
-                    incident_field, load_scene, make_directions, save_scene,
-                    separation_ok)
+                    incident_field, make_directions, separation_ok)
 from .special import bessel_j0, direction_average
 from .theory import (TheoryParams, compare_maps, phase_distance, theory_map,
                      theory_value)
@@ -20,8 +19,8 @@ __all__ = [
     "assemble_msr_bie", "bessel_j0", "calibrate_and_image", "compare_maps",
     "direction_average", "estimate_k", "farfield_asym", "farfield_bie",
     "find_peaks", "imaging_map", "imaging_value", "incident_field",
-    "load_msr", "load_scene", "make_directions", "safe_cone", "save_msr",
-    "save_scene", "select_signal_dim", "separation_ok", "solve_scatter",
+    "load_msr", "make_directions", "safe_cone", "save_msr",
+    "select_signal_dim", "separation_ok", "solve_scatter",
     "svd_msr", "phase_distance", "theory_map", "theory_value",
 ]
 

@@ -32,10 +32,7 @@ class ConfigError(Exception):
 
 def _load_schema():
     pkg = importlib.resources.files("crackmusic.schemas")
-    run = json.loads((pkg / "runconfig.schema.json").read_text())
-    scene = json.loads((pkg / "scene.schema.json").read_text())
-    run["properties"]["scene"] = scene   # a {"file": ...} scene is read in first
-    return run
+    return json.loads((pkg / "runconfig.schema.json").read_text())
 
 
 def load_config(args):
@@ -71,12 +68,23 @@ def load_config(args):
     except jsonschema.ValidationError as e:
         where = "/".join(str(p) for p in e.absolute_path) or "top level"
         raise ConfigError(f"config does not match schema at {where}: {e.message}") from e
+    for where, v in _non_finite(cfg):
+        if not (where == "snr_db" and v == np.inf):   # +inf dB means no noise
+            raise ConfigError(f"config value at {where} must be finite, not {v}")
     g = cfg["grid"]
     if g["x1"] < g["x0"] or g["y1"] < g["y0"]:
         raise ConfigError(f"grid ranges must be nonempty (x0 <= x1, y0 <= y1): {g}")
-    if not cfg.get("snr_db", np.inf) > -np.inf:
-        raise ConfigError(f"snr_db must be a number or +inf (no noise), not {cfg['snr_db']}")
     return cfg
+
+
+def _non_finite(node, where=""):
+    """Yield (path, value) for each NaN or infinite number in a JSON document."""
+    if isinstance(node, float) and not np.isfinite(node):
+        yield where, node
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _non_finite(child, f"{where}/{key}" if where else str(key))
 
 
 def _parse_signal_dim(spec):
@@ -282,7 +290,7 @@ def main(argv=None):
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ArithmeticError, ValueError, np.linalg.LinAlgError) as e:
+    except (ArithmeticError, MemoryError, ValueError, np.linalg.LinAlgError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
 

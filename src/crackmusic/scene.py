@@ -1,6 +1,5 @@
-"""Crack geometry, direction sets, incident plane waves, scene (de)serialization."""
+"""Crack geometry, direction sets, incident plane waves, the scene parser."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +36,6 @@ class ParametricCrack:
         if not np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) > 0):
             raise ValueError("ParametricCrack points must not all coincide")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def arclength(self):
-        return float(np.sum(np.linalg.norm(np.diff(self.points, axis=0), axis=1)))
 
     @property
     def endpoints(self):
@@ -140,22 +135,8 @@ def incident_field(x, theta, k):
     return np.exp(1j * k * (x @ theta.T))
 
 
-# --- JSON scene format (documented in schemas/scene.schema.json) ---
-
-def scene_to_dict(scene):
-    cracks = []
-    for c in scene.cracks:
-        if isinstance(c, SegmentCrack):
-            cracks.append({
-                "type": "segment",
-                "center": [c.center[0], c.center[1]],
-                "half_length": c.half_length,
-                "angle": c.angle,
-            })
-        else:
-            cracks.append({"type": "arc", "points": c.points.tolist()})
-    return {"wavenumber": scene.wavenumber, "cracks": cracks}
-
+# --- Scene documents: the run config's "scene", validated against
+# runconfig.schema.json's $defs/scene before it gets here ---
 
 def scene_from_dict(d):
     cracks = []
@@ -170,12 +151,3 @@ def scene_from_dict(d):
             raise ValueError(f"unknown crack type {c['type']!r}")
     return Scene(cracks=tuple(cracks), wavenumber=float(d["wavenumber"]))
 
-
-def save_scene(scene, path):
-    with open(path, "w") as f:
-        json.dump(scene_to_dict(scene), f, indent=2, sort_keys=True)
-
-
-def load_scene(path):
-    with open(path) as f:
-        return scene_from_dict(json.load(f))

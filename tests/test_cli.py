@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from crackmusic import load_msr
+import crackmusic
+from crackmusic import load_msr, theory
 from crackmusic.cli import main
-from crackmusic.presets import preset_config
+from crackmusic.presets import PRESET_NAMES, preset_config
 
 K1 = 2 * np.pi / 0.5
 GRID_COARSE = ("--grid=-2,2,-2,2,0.02",)
@@ -187,9 +190,10 @@ def test_schema_violation_is_exit_2(tmp_path):
 
 @pytest.mark.parametrize("flag", ["--signal-dim=banana", "--signal-dim=manual:abc",
                                   "--grid=a,1,-1,1,0.1", "--grid=1,0,-1,1,0.1",
-                                  "--snr-db=nan"],
+                                  "--snr-db=nan", "--eta=inf", "--eta=nan",
+                                  "--signal-dim=threshold:nan", "--grid=-1,1,-1,1,nan"],
                          ids=["banana", "manual-abc", "grid-abc", "grid-reversed",
-                              "snr-nan"])
+                              "snr-nan", "eta-inf", "eta-nan", "threshold-nan", "grid-nan"])
 def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag):
     assert run("image", "--preset", "fig1", "--out", str(tmp_path / "o"), flag) == 2
 
@@ -205,9 +209,21 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag):
     ({"calibration": {"y": [0.0, -0.0], "eta": 20.0}}, "calibration/y"),
     ({"scene": {"file": "scene.json", "wavenumber": K1}}, "['wavenumber']"),
     ({"snr_db": float("-inf")}, "snr_db"),
+    ({"scene": {"wavenumber": K1, "cracks": [{"type": "segment", "center": [0, 0]}]}},
+     "'half_length' is a required property"),
+    ({"scene": {"wavenumber": K1, "cracks": [{"type": "segment", "center": [0, 0],
+                                              "half_length": 0.05, "x": 1}]}},
+     "('x' was unexpected)"),
+    ({"scene": {"wavenumber": K1, "cracks": [{"type": "arc", "points": [[0, 0], [1, 0]],
+                                              "angle": 0.5}]}},
+     "('angle' was unexpected)"),
+    ({"scene": {**preset_config("fig1")["scene"], "wavenumber": float("nan")}},
+     "scene/wavenumber"),
+    ({"etas": [10.0, float("inf")]}, "etas/1"),
 ], ids=["manual-without-m", "threshold-without-tau", "bie_n", "theory_variant",
         "exclusion_radius", "directions-mode", "calibration-kind", "calibration-origin",
-        "scene-file-extra-key", "snr-minus-inf"])
+        "scene-file-extra-key", "snr-minus-inf", "segment-without-half-length",
+        "segment-unknown-key", "arc-with-angle", "wavenumber-nan", "eta-inf"])
 def test_schema_violation_names_the_field(tmp_path, capsys, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
@@ -282,6 +298,14 @@ def test_numeric_failure_is_exit_3(tmp_path):
                "--signal-dim", "manual:99") == 3
 
 
+def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
+    def no_memory(params, grid):
+        raise MemoryError("Unable to allocate the theory map")
+    monkeypatch.setattr(theory, "theory_map", no_memory)
+    assert run("theory", "--preset", "fig1", "--out", str(tmp_path / "o")) == 3
+    assert "Unable to allocate" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_out_scipy_interpolate():
     # scipy.interpolate costs start-up; only a BIE solve on an arc needs it
     code = "import sys, crackmusic.cli; print('scipy.interpolate' in sys.modules)"
@@ -292,6 +316,14 @@ def test_cli_import_leaves_out_scipy_interpolate():
 
 
 # ---- presets ----
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_matches_the_schema_file(name):
+    # the schema file stands alone: the scene format is its own $defs/scene
+    schema = json.loads((Path(crackmusic.__file__).parent / "schemas"
+                         / "runconfig.schema.json").read_text())
+    jsonschema.validate(preset_config(name), schema)
+
 
 def test_config_roundtrip(tmp_path):
     cfg = preset_config("fig2")

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from crackmusic import (Scene, SegmentCrack, assemble_msr, assemble_msr_bie,
-                        imaging_value, make_directions, select_signal_dim,
-                        separation_ok, svd_msr)
+from crackmusic import (ImageGrid, Scene, SegmentCrack, assemble_msr, assemble_msr_bie,
+                        find_peaks, imaging_map, imaging_value, make_directions,
+                        select_signal_dim, separation_ok, svd_msr)
 
 K = 2 * np.pi / 0.5
 H = 0.05
@@ -57,3 +57,24 @@ def test_rotating_the_scene_by_one_direction_step_permutes_the_data():
                     e = imaging_value(space, x, eta, dirs)
                     e_rot = imaging_value(space_rot, _rotation(phi) @ x, eta, dirs)
                     assert abs(e_rot - e) < 1e-10 * e
+
+
+def test_peaks_land_at_the_scaled_centers_for_every_probe_wavenumber():
+    # Imaging at a wrong probe wavenumber eta moves the peak of crack m to
+    # (k/eta) z_m; the three peaks must match the three scaled centers.
+    rng = np.random.default_rng(7)
+    dirs = make_directions(N, "open")
+    step = 0.02
+    grid = ImageGrid(x0=-1.5, x1=1.5, y0=-1.5, y1=1.5, step=step)
+    for _ in range(3):
+        scene = _random_scene(rng)
+        z = np.array([c.center for c in scene.cracks])
+        space = select_signal_dim(svd_msr(assemble_msr(scene, H, dirs)), "manual", m=3)
+        for eta in (10.0, K, 20.0):
+            peaks = find_peaks(imaging_map(space, grid, eta, dirs), 3)
+            assert peaks.complete
+            p = np.array([xy for xy, _ in peaks.peaks])
+            dist = np.linalg.norm(p[:, None, :] - (K / eta) * z[None, :, :], axis=-1)
+            nearest = np.argmin(dist, axis=1)
+            assert sorted(nearest) == [0, 1, 2]
+            assert np.max(np.min(dist, axis=1)) < 2 * step
