@@ -41,28 +41,10 @@ def load_config(args):
     else:
         with open(args.config) as f:
             cfg = json.load(f)
-    if args.eta:
-        cfg["etas"] = list(args.eta)
-    if args.snr_db is not None:
-        cfg["snr_db"] = args.snr_db
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.grid:
-        try:
-            x0, x1, y0, y1, step = (float(p) for p in args.grid.split(","))
-        except ValueError:
-            raise ConfigError(f'bad --grid {args.grid!r}; use "x0,x1,y0,y1,step"') from None
-        cfg["grid"] = {"x0": x0, "x1": x1, "y0": y0, "y1": y1, "step": step}
-    if args.signal_dim:
-        cfg["signal_dim"] = _parse_signal_dim(args.signal_dim)
-    sc = cfg.get("scene") if isinstance(cfg, dict) else None
-    if isinstance(sc, dict) and "file" in sc:
-        if list(sc) != ["file"]:
-            raise ConfigError(f'a scene given as {{"file": path}} takes no other keys; '
-                              f'found {sorted(set(sc) - {"file"})}')
-        if isinstance(sc["file"], str):   # relative to the config file; presets have none
-            with open(Path(args.config).parent / sc["file"]) as f:
-                cfg["scene"] = json.load(f)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(cfg).__name__}")
+    flags = {o["dest"]: getattr(args, o["dest"]) for o in _OVERRIDES.values()}
+    cfg.update({key: v for key, v in flags.items() if v is not None})
     try:
         jsonschema.validate(cfg, _load_schema())
     except jsonschema.ValidationError as e:
@@ -74,6 +56,10 @@ def load_config(args):
     g = cfg["grid"]
     if g["x1"] < g["x0"] or g["y1"] < g["y0"]:
         raise ConfigError(f"grid ranges must be nonempty (x0 <= x1, y0 <= y1): {g}")
+    try:
+        scene_from_dict(cfg["scene"])
+    except ValueError as e:
+        raise ConfigError(f"config scene: {e}") from e
     return cfg
 
 
@@ -87,6 +73,14 @@ def _non_finite(node, where=""):
         yield from _non_finite(child, f"{where}/{key}" if where else str(key))
 
 
+def _grid_flag(spec):
+    try:
+        x0, x1, y0, y1, step = (float(p) for p in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'{spec!r} is not "x0,x1,y0,y1,step"') from None
+    return {"x0": x0, "x1": x1, "y0": y0, "y1": y1, "step": step}
+
+
 def _parse_signal_dim(spec):
     method, _, arg = spec.partition(":")
     try:
@@ -98,20 +92,7 @@ def _parse_signal_dim(spec):
             return {"method": "threshold", "tau": float(arg)}
     except ValueError:
         pass
-    raise ConfigError(f"bad --signal-dim {spec!r}; use manual:M, log_gap, or threshold:T")
-
-
-def _scene(cfg):
-    return scene_from_dict(cfg["scene"])
-
-
-def _dirs(cfg):
-    return make_directions(cfg["directions"]["n"])
-
-
-def _grid(cfg):
-    g = cfg["grid"]
-    return ImageGrid(x0=g["x0"], x1=g["x1"], y0=g["y0"], y1=g["y1"], step=g["step"])
+    raise argparse.ArgumentTypeError(f"{spec!r} is not manual:M, log_gap or threshold:T")
 
 
 def _signal_dim(cfg):
@@ -128,11 +109,9 @@ def _theory_params(scene, eta):
 
 
 def compute_msr(cfg):
-    scene = _scene(cfg)
-    dirs = _dirs(cfg)
+    scene = scene_from_dict(cfg["scene"])
+    dirs = make_directions(cfg["directions"]["n"])
     if cfg["forward"] == "asym":
-        if "h" not in cfg:
-            raise ConfigError("asymptotic forward model requires h")
         msr = assemble_msr(scene, cfg["h"], dirs)
     else:
         msr = assemble_msr_bie(scene, dirs)
@@ -154,10 +133,6 @@ def _get_msr(args, cfg):
         raise ConfigError(f"MSR file {csv_path}: {e}") from e
 
 
-def _etatag(eta):
-    return f"{eta:g}"
-
-
 def _write_json(obj, path):
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
@@ -173,10 +148,10 @@ def cmd_forward(cfg, args, out):
 def cmd_image(cfg, args, out):
     msr = _get_msr(args, cfg)
     space = _signal_space(msr, cfg)
-    grid = _grid(cfg)
+    grid = ImageGrid(**cfg["grid"])
     for eta in cfg["etas"]:
         imap = music.imaging_map(space, grid, eta, msr.directions)
-        tag = _etatag(eta)
+        tag = f"{eta:g}"
         music.save_map_csv(imap, out / f"map_eta{tag}.csv")
         music.save_map_pgm(imap, out / f"map_eta{tag}.pgm")
         peaks = music.find_peaks(imap, max(space.m, 1))
@@ -202,11 +177,11 @@ def cmd_svd(cfg, args, out):
 
 
 def cmd_theory(cfg, args, out):
-    scene = _scene(cfg)
-    grid = _grid(cfg)
+    scene = scene_from_dict(cfg["scene"])
+    grid = ImageGrid(**cfg["grid"])
     for eta in cfg["etas"]:
         tmap = theory.theory_map(_theory_params(scene, eta), grid)
-        tag = _etatag(eta)
+        tag = f"{eta:g}"
         music.save_map_csv(tmap, out / f"theory_eta{tag}.csv")
         music.save_map_pgm(tmap, out / f"theory_eta{tag}.pgm")
         print(out / f"theory_eta{tag}.csv")
@@ -214,29 +189,27 @@ def cmd_theory(cfg, args, out):
 
 
 def cmd_compare(cfg, args, out):
-    scene = _scene(cfg)
+    scene = scene_from_dict(cfg["scene"])
     msr = _get_msr(args, cfg)
     space = _signal_space(msr, cfg)
-    grid = _grid(cfg)
+    grid = ImageGrid(**cfg["grid"])
     for eta in cfg["etas"]:
         imap = music.imaging_map(space, grid, eta, msr.directions)
         params = _theory_params(scene, eta)
         tmap = theory.theory_map(params, grid)
         report = theory.compare_maps(imap, tmap, params)
         report["eta"] = eta
-        _write_json(report, out / f"compare_eta{_etatag(eta)}.json")
-        print(out / f"compare_eta{_etatag(eta)}.json")
+        _write_json(report, out / f"compare_eta{eta:g}.json")
+        print(out / f"compare_eta{eta:g}.json")
     return 0
 
 
 def cmd_calibrate(cfg, args, out):
     if "calibration" not in cfg:
         raise ConfigError("calibrate requires a 'calibration' config section")
-    cal = cfg["calibration"]
-    plan = CalibrationPlan(y=tuple(cal["y"]), eta=cal["eta"])
     msr = _get_msr(args, cfg)
-    k_hat, remap, info = calibrate_and_image(msr, plan, _grid(cfg),
-                                             signal_dim=_signal_dim(cfg))
+    k_hat, remap, info = calibrate_and_image(msr, CalibrationPlan(**cfg["calibration"]),
+                                             ImageGrid(**cfg["grid"]), signal_dim=_signal_dim(cfg))
     _write_json(info, out / "calibration.json")
     music.save_map_csv(remap, out / "map_khat.csv")
     music.save_map_pgm(remap, out / "map_khat.pgm")
@@ -244,21 +217,22 @@ def cmd_calibrate(cfg, args, out):
     return 0
 
 
-_OVERRIDES = {   # flag -> add_argument keywords; its attribute is the flag with "_" for "-"
-    "--msr": {"help": "existing MSR CSV file (sidecar: same name .json)"},
-    "--eta": {"type": float, "action": "append",
+_OVERRIDES = {   # flag -> add_argument keywords; dest is the config key the flag sets
+    "--eta": {"dest": "etas", "metavar": "ETA", "type": float, "action": "append",
               "help": "probe wavenumber (repeatable; overrides config)"},
-    "--snr-db": {"type": float},
-    "--seed": {"type": int},
-    "--grid": {"help": '"x0,x1,y0,y1,step"'},
-    "--signal-dim": {"help": "manual:M | log_gap | threshold:T"},
+    "--snr-db": {"dest": "snr_db", "type": float},
+    "--seed": {"dest": "seed", "type": int},
+    "--grid": {"dest": "grid", "type": _grid_flag, "help": '"x0,x1,y0,y1,step"'},
+    "--signal-dim": {"dest": "signal_dim", "type": _parse_signal_dim,
+                     "help": "manual:M | log_gap | threshold:T"},
 }
-_COMMANDS = {    # each command and the overrides it reads; argparse rejects the others
+_FLAGS = {"--msr": {"help": "existing MSR CSV file (sidecar: same name .json)"}, **_OVERRIDES}
+_COMMANDS = {    # each command and the flags it reads; argparse rejects the others
     "forward": (cmd_forward, "--snr-db --seed"),
-    "image": (cmd_image, " ".join(_OVERRIDES)),
+    "image": (cmd_image, " ".join(_FLAGS)),
     "svd": (cmd_svd, "--msr --snr-db --seed --signal-dim"),
     "theory": (cmd_theory, "--eta --grid"),
-    "compare": (cmd_compare, " ".join(_OVERRIDES)),
+    "compare": (cmd_compare, " ".join(_FLAGS)),
     "calibrate": (cmd_calibrate, "--msr --snr-db --seed --grid --signal-dim"),
 }
 
@@ -275,8 +249,8 @@ def build_parser():
                             help="use a built-in configuration")
         sp.add_argument("--out", required=True, help="output directory")
         for flag in flags.split():
-            sp.add_argument(flag, **_OVERRIDES[flag])
-        sp.set_defaults(fn=fn, **{f[2:].replace("-", "_"): None for f in _OVERRIDES})
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(fn=fn, **{o["dest"]: None for o in _OVERRIDES.values()})
     return p
 
 
@@ -287,10 +261,10 @@ def main(argv=None):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.fn(cfg, args, out)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (ConfigError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ArithmeticError, MemoryError, ValueError, np.linalg.LinAlgError) as e:
+    except (ArithmeticError, MemoryError, ValueError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
 

@@ -33,8 +33,10 @@ class ParametricCrack:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.shape[0] < 2 or pts.shape[1] != 2:
             raise ValueError("ParametricCrack needs >= 2 points in R^2")
-        if not np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) > 0):
-            raise ValueError("ParametricCrack points must not all coincide")
+        apart = np.linalg.norm(np.diff(pts, axis=0), axis=1) > 0
+        if not np.all(apart):
+            i = int(np.argmin(apart))
+            raise ValueError(f"arc points {i} and {i + 1} coincide at {pts[i].tolist()}")
         object.__setattr__(self, "points", pts)
 
     @property

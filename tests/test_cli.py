@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,10 @@ GRID_COARSE = ("--grid=-2,2,-2,2,0.02",)
 
 def run(*argv):
     return main(list(argv))
+
+
+def _arc_scene(points):
+    return {"wavenumber": K1, "cracks": [{"type": "arc", "points": points}]}
 
 
 def write_cfg(tmp_path, **overrides):
@@ -188,14 +193,23 @@ def test_schema_violation_is_exit_2(tmp_path):
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
 
-@pytest.mark.parametrize("flag", ["--signal-dim=banana", "--signal-dim=manual:abc",
-                                  "--grid=a,1,-1,1,0.1", "--grid=1,0,-1,1,0.1",
-                                  "--snr-db=nan", "--eta=inf", "--eta=nan",
-                                  "--signal-dim=threshold:nan", "--grid=-1,1,-1,1,nan"],
-                         ids=["banana", "manual-abc", "grid-abc", "grid-reversed",
-                              "snr-nan", "eta-inf", "eta-nan", "threshold-nan", "grid-nan"])
-def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag):
-    assert run("image", "--preset", "fig1", "--out", str(tmp_path / "o"), flag) == 2
+@pytest.mark.parametrize("flag, unparsable", [
+    ("--signal-dim=banana", True), ("--signal-dim=manual:abc", True),
+    ("--grid=a,1,-1,1,0.1", True), ("--grid=1,0,-1,1,0.1", False),
+    ("--snr-db=nan", False), ("--eta=inf", False), ("--eta=nan", False),
+    ("--signal-dim=threshold:nan", False), ("--grid=-1,1,-1,1,nan", False),
+], ids=["banana", "manual-abc", "grid-abc", "grid-reversed",
+        "snr-nan", "eta-inf", "eta-nan", "threshold-nan", "grid-nan"])
+def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
+    # a value the flag's parser rejects is an argparse error; the rest fail in load_config
+    argv = ("image", "--preset", "fig1", "--out", str(tmp_path / "o"), flag)
+    if unparsable:
+        with pytest.raises(SystemExit) as e:
+            run(*argv)
+        assert e.value.code == 2
+    else:
+        assert run(*argv) == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("overrides, field", [
@@ -207,7 +221,6 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag):
     ({"directions": {"n": 16, "mode": "open"}}, "'mode'"),
     ({"calibration": {"y": [0.0, -1.0], "eta": 20.0, "kind": "extended"}}, "'kind'"),
     ({"calibration": {"y": [0.0, -0.0], "eta": 20.0}}, "calibration/y"),
-    ({"scene": {"file": "scene.json", "wavenumber": K1}}, "['wavenumber']"),
     ({"snr_db": float("-inf")}, "snr_db"),
     ({"scene": {"wavenumber": K1, "cracks": [{"type": "segment", "center": [0, 0]}]}},
      "'half_length' is a required property"),
@@ -220,14 +233,50 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag):
     ({"scene": {**preset_config("fig1")["scene"], "wavenumber": float("nan")}},
      "scene/wavenumber"),
     ({"etas": [10.0, float("inf")]}, "etas/1"),
+    ({"scene": _arc_scene([[1, 1], [1, 1]])}, "scene: arc points 0 and 1 coincide"),
+    ({"scene": _arc_scene([[1, 1], [1, 1], [1.5, 1]])}, "scene: arc points 0 and 1 coincide"),
+    ({"scene": _arc_scene([[1, 1], [1, 1], [1.5, 1]]), "forward": "bie"},
+     "scene: arc points 0 and 1 coincide"),
 ], ids=["manual-without-m", "threshold-without-tau", "bie_n", "theory_variant",
         "exclusion_radius", "directions-mode", "calibration-kind", "calibration-origin",
-        "scene-file-extra-key", "snr-minus-inf", "segment-without-half-length",
-        "segment-unknown-key", "arc-with-angle", "wavenumber-nan", "eta-inf"])
+        "snr-minus-inf", "segment-without-half-length", "segment-unknown-key",
+        "arc-with-angle", "wavenumber-nan", "eta-inf", "arc-points-all-coincide",
+        "arc-repeated-point", "arc-repeated-point-bie"])
 def test_schema_violation_names_the_field(tmp_path, capsys, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_asym_config_without_h_is_exit_2(tmp_path, capsys):
+    cfg = preset_config("fig1")
+    del cfg["h"]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run("forward", "--config", str(p), "--out", str(tmp_path / "o")) == 2
+    assert "'h'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--eta", "10")], ids=["plain", "with-override"])
+def test_config_that_is_not_an_object_is_exit_2(tmp_path, capsys, flags):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    assert run("image", "--config", str(p), *flags, "--out", str(tmp_path / "o")) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["config", "out"])
+def test_os_error_on_a_given_path_is_exit_2(tmp_path, capsys, where):
+    # a directory given as the config file, an existing file given as --out
+    cfg, out = write_cfg(tmp_path), str(tmp_path / "o")
+    if where == "config":
+        cfg = str(tmp_path)
+    else:
+        (tmp_path / "o").write_text("")
+    assert run("svd", "--config", cfg, "--out", out) == 2
+    assert (cfg if where == "config" else out) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,22 +294,12 @@ def test_flag_the_command_does_not_read_is_exit_2(tmp_path, argv):
 
 
 def test_scene_file_is_schema_checked(tmp_path, capsys):
-    scene = preset_config("fig1")["scene"]
-    del scene["wavenumber"]
-    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    # a scene is given inline only: {"file": path} is a malformed scene, even
+    # when the file it names holds a valid one
+    (tmp_path / "scene.json").write_text(json.dumps(preset_config("fig1")["scene"]))
     cfg = write_cfg(tmp_path, scene={"file": str(tmp_path / "scene.json")})
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
-    assert "wavenumber" in capsys.readouterr().err
-
-
-def test_scene_file_is_relative_to_the_config(tmp_path, monkeypatch):
-    cfg_dir = tmp_path / "cfgdir"
-    cfg_dir.mkdir()
-    (cfg_dir / "scene.json").write_text(json.dumps(preset_config("fig1")["scene"]))
-    write_cfg(cfg_dir, scene={"file": "scene.json"})
-    monkeypatch.chdir(tmp_path)
-    assert run("forward", "--config", "cfgdir/cfg.json", "--out", "o") == 0
-    assert (tmp_path / "o" / "msr.csv").exists()
+    assert "at scene:" in capsys.readouterr().err
 
 
 def _set_sidecar(key, value):
@@ -313,6 +352,19 @@ def test_cli_import_leaves_out_scipy_interpolate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # the first sh block of README.md holding crackmusic commands, run in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in readme.split("```sh\n")[1:]]
+    block = next(b for b in blocks if "crackmusic " in b)
+    commands = [shlex.split(l)[1:] for l in block.splitlines() if l.startswith("crackmusic ")]
+    assert {argv[0] for argv in commands} == {"forward", "image", "svd", "theory",
+                                              "compare", "calibrate"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 # ---- presets ----

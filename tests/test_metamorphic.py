@@ -78,3 +78,18 @@ def test_peaks_land_at_the_scaled_centers_for_every_probe_wavenumber():
             nearest = np.argmin(dist, axis=1)
             assert sorted(nearest) == [0, 1, 2]
             assert np.max(np.min(dist, axis=1)) < 2 * step
+
+
+def test_msr_is_reciprocal_for_both_forward_models():
+    # Reciprocity u∞(x̂, d) = u∞(−d, −x̂) makes K[j, l] = u∞(−θ_j, θ_l) a
+    # symmetric matrix for any direction set: exactly for the asymptotic model,
+    # whose entries are sums of e^{ik(θ_j + θ_l)·z}, and to rounding for the BIE.
+    rng = np.random.default_rng(1995)
+    for _ in range(3):
+        scene = _random_scene(rng)
+        for mode in ("open", "closed"):
+            dirs = make_directions(N, mode)
+            k = assemble_msr(scene, H, dirs).entries
+            assert np.array_equal(k, k.T)
+            k = assemble_msr_bie(scene, dirs).entries
+            assert np.max(np.abs(k - k.T)) <= 1e-12 * np.max(np.abs(k))

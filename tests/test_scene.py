@@ -85,3 +85,5 @@ def test_parametric_crack_validation():
         ParametricCrack(points=np.array([[0.0, 0.0]]))
     with pytest.raises(ValueError):
         ParametricCrack(points=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="points 1 and 2 coincide"):
+        ParametricCrack(points=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
