@@ -56,6 +56,8 @@ def load_config(args):
     g = cfg["grid"]
     if g["x1"] < g["x0"] or g["y1"] < g["y0"]:
         raise ConfigError(f"grid ranges must be nonempty (x0 <= x1, y0 <= y1): {g}")
+    if args.command == "calibrate" and "calibration" not in cfg:
+        raise ConfigError("calibrate requires a 'calibration' config section")
     try:
         scene_from_dict(cfg["scene"])
     except ValueError as e:
@@ -205,8 +207,6 @@ def cmd_compare(cfg, args, out):
 
 
 def cmd_calibrate(cfg, args, out):
-    if "calibration" not in cfg:
-        raise ConfigError("calibrate requires a 'calibration' config section")
     msr = _get_msr(args, cfg)
     k_hat, remap, info = calibrate_and_image(msr, CalibrationPlan(**cfg["calibration"]),
                                              ImageGrid(**cfg["grid"]), signal_dim=_signal_dim(cfg))

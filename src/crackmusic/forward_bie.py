@@ -1,7 +1,8 @@
 """Full-wave forward solver for sound-soft open arcs (Dirichlet cracks).
 
 Single-layer representation with the endpoint square-root singularity of the
-density absorbed into a Chebyshev weight: on the parameter interval [-1, 1]
+density absorbed into a Chebyshev weight: on the crack's curve y(t) =
+crack.point(t), t in [-1, 1],
 
     u_s(x) = int_{-1}^{1} Phi(x, y(t)) w(t) / sqrt(1 - t^2) dt,
     Phi(x, y) = (i/4) H0^1(k |x - y|).
@@ -29,34 +30,10 @@ import numpy as np
 from scipy.special import hankel1
 
 from .forward_asym import MsrMatrix
-from .scene import ParametricCrack, SegmentCrack, incident_field
+from .scene import incident_field
 
 _EULER_GAMMA = 0.5772156649015329
 _N_START, _N_MAX, _TOL = 64, 4096, 1e-6   # auto node-count refinement
-
-
-class _Parametrization:
-    """Smooth map t in [-1, 1] -> crack point, with derivative."""
-
-    def __init__(self, crack):
-        if isinstance(crack, SegmentCrack):
-            d = np.array([np.cos(crack.angle), np.sin(crack.angle)])
-            c = np.asarray(crack.center)
-            self.point = lambda t: c + np.atleast_1d(t)[:, None] * crack.half_length * d
-            self.deriv = lambda t: np.broadcast_to(crack.half_length * d,
-                                                   (np.atleast_1d(t).size, 2)).copy()
-        elif isinstance(crack, ParametricCrack):
-            from scipy.interpolate import CubicSpline
-
-            pts = crack.points
-            s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
-            u = 2.0 * s / s[-1] - 1.0
-            spl = CubicSpline(u, pts, axis=0)
-            dspl = spl.derivative()
-            self.point = lambda t: spl(np.atleast_1d(t))
-            self.deriv = lambda t: dspl(np.atleast_1d(t))
-        else:
-            raise TypeError(f"unsupported crack type {type(crack).__name__}")
 
 
 @dataclass(frozen=True)
@@ -85,14 +62,14 @@ def _cheb_matrix(t, degrees):
     return np.cos(np.outer(np.arccos(np.clip(t, -1.0, 1.0)), degrees))
 
 
-def _operator_rows(param, k, tau, nodes):
+def _operator_rows(crack, k, tau, nodes):
     """Rows of the single-layer operator on the nodal density, at parameters tau.
 
     (pi/n) [M - J o L / (2 pi)]: J = J0(k r), L the exact log weights of the
     Chebyshev interpolant, M = Phi + J ln|tau - s| / (2 pi), diagonal by its limit.
     """
     n = nodes.size
-    r = np.linalg.norm(param.point(tau)[:, None, :] - param.point(nodes)[None, :, :], axis=2)
+    r = np.linalg.norm(crack.point(tau)[:, None, :] - crack.point(nodes)[None, :, :], axis=2)
     dt = np.abs(tau[:, None] - nodes[None, :])
     j0 = np.ones(r.shape)
     m = np.empty(r.shape, dtype=np.complex128)
@@ -101,7 +78,7 @@ def _operator_rows(param, k, tau, nodes):
     j0[off] = h.real
     m[off] = 0.25j * h + h.real * np.log(dt[off]) / (2.0 * np.pi)
     if np.any(~off):
-        speed = np.linalg.norm(param.deriv(tau), axis=1)
+        speed = np.linalg.norm(crack.deriv(tau), axis=1)
         diag = 0.25j - (np.log(0.5 * k * speed) + _EULER_GAMMA) / (2.0 * np.pi)
         m[~off] = np.broadcast_to(diag[:, None], m.shape)[~off]
     deg = np.arange(1, n)
@@ -120,10 +97,9 @@ def solve_scatter(crack, k, inc, n=64):
     if n < 8 or n % 2:
         raise ValueError("node count must be even and >= 8")
     inc = np.atleast_2d(np.asarray(inc, dtype=float))
-    param = _Parametrization(crack)
     t = _cheb_nodes(n)
-    a = _operator_rows(param, k, t, t)
-    rhs = -incident_field(param.point(t), inc, k)
+    a = _operator_rows(crack, k, t, t)
+    rhs = -incident_field(crack.point(t), inc, k)
     try:
         values = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as e:
@@ -135,17 +111,15 @@ def solve_scatter(crack, k, inc, n=64):
 def boundary_field(density, tau):
     """Total field u_inc + u_s on the crack at parameters tau (residual check)."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    param = _Parametrization(density.crack)
     k = density.wavenumber
-    u_s = _operator_rows(param, k, tau, density.nodes) @ density.values
-    return incident_field(param.point(tau), density.inc, k) + u_s
+    u_s = _operator_rows(density.crack, k, tau, density.nodes) @ density.values
+    return incident_field(density.crack.point(tau), density.inc, k) + u_s
 
 
 def farfield_bie(density, obs):
     """Far-field value(s) of the solved density at observation direction(s)."""
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    param = _Parametrization(density.crack)
-    phase = np.exp(-1j * density.wavenumber * (param.point(density.nodes) @ obs.T))
+    phase = np.exp(-1j * density.wavenumber * (density.crack.point(density.nodes) @ obs.T))
     ff = -(np.pi / density.n) * (phase.T @ density.values)           # (n_obs, n_inc)
     if ff.size == 1:
         return complex(ff[0, 0])

@@ -41,11 +41,16 @@ class ImageGrid:
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise ValueError("grid ranges must be nonempty")
 
+    def _axis(self, lo, hi):
+        """lo, lo + step, ... up to hi; a step count within 1e-9 of an integer
+        counts as that integer, so 0.3/0.1 reaches 0.3 but no point passes hi."""
+        return lo + self.step * np.arange(int(np.floor((hi - lo) / self.step + 1e-9)) + 1)
+
     def xs(self):
-        return self.x0 + self.step * np.arange(int(round((self.x1 - self.x0) / self.step)) + 1)
+        return self._axis(self.x0, self.x1)
 
     def ys(self):
-        return self.y0 + self.step * np.arange(int(round((self.y1 - self.y0) / self.step)) + 1)
+        return self._axis(self.y0, self.y1)
 
     def points(self):
         """All grid points, shape (ny*nx, 2), row-major over (y, x)."""
@@ -75,9 +80,11 @@ def select_signal_dim(space, method="log_gap", m=None, tau=None):
     method "manual" uses m directly; "threshold" counts sigma_m/sigma_1 >= tau;
     "log_gap" takes the argmax of log(sigma_m / sigma_{m+1}) over the first
     N/2 gaps (the tail gaps of a pure-noise spectrum can be arbitrarily large
-    since the smallest singular value clusters near zero) and flags the
-    result ambiguous when no usable gap exists.  The keywords match the
-    run config's "signal_dim" object, so a config passes as **spec.
+    since the smallest singular value clusters near zero).  An exact rank drop
+    (sigma_m > 0 = sigma_{m+1}) is an infinite gap and wins; 0/0 is no gap.
+    The result is ambiguous, with M = N/2, when the largest gap is below 0.1.
+    The keywords match the run config's "signal_dim" object, so a config
+    passes as **spec.
     """
     s = space.singular_values
     n = space.n
@@ -93,16 +100,12 @@ def select_signal_dim(space, method="log_gap", m=None, tau=None):
         return replace(space, m=int(np.sum(s / s[0] >= tau)), ambiguous=False)
     if method == "log_gap":
         bound = n // 2
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             gaps = np.log(s[:bound]) - np.log(s[1:bound + 1])
-        if not np.any(np.isfinite(gaps)):
+        gaps = np.where(np.isnan(gaps), -np.inf, gaps)
+        if np.max(gaps, initial=-np.inf) < 0.1:
             return replace(space, m=bound, ambiguous=True)
-        gaps = np.where(np.isfinite(gaps), gaps, np.inf)
-        best = int(np.argmax(gaps)) + 1
-        ambiguous = bool(np.max(gaps[np.isfinite(gaps)], initial=0.0) < 0.1)
-        if ambiguous:
-            best = bound
-        return replace(space, m=best, ambiguous=ambiguous)
+        return replace(space, m=int(np.argmax(gaps)) + 1, ambiguous=False)
     raise ValueError(f"unknown selection method {method!r}")
 
 

@@ -1,6 +1,7 @@
 """Crack geometry, direction sets, incident plane waves, the scene parser."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,19 @@ class SegmentCrack:
         """Warning predicate: half_length small versus wavelength 2*pi/k."""
         return self.half_length <= factor * (2.0 * np.pi / k)
 
+    def point(self, t):
+        """Crack points at parameters t in [-1, 1], shape (len(t), 2)."""
+        d = np.array([np.cos(self.angle), np.sin(self.angle)])
+        return np.asarray(self.center) + np.atleast_1d(t)[:, None] * self.half_length * d
+
+    def deriv(self, t):
+        d = np.array([np.cos(self.angle), np.sin(self.angle)])
+        return np.broadcast_to(self.half_length * d, (np.atleast_1d(t).size, 2))
+
+    def centers(self):
+        """Point target of the asymptotic model: the center."""
+        return np.array([self.center])
+
 
 @dataclass(frozen=True)
 class ParametricCrack:
@@ -39,9 +53,26 @@ class ParametricCrack:
             raise ValueError(f"arc points {i} and {i + 1} coincide at {pts[i].tolist()}")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def endpoints(self):
-        return self.points[0].copy(), self.points[-1].copy()
+    @cached_property
+    def _spline(self):
+        """Cubic spline through the points in chord-length parameter on [-1, 1],
+        fitted on first use (scipy.interpolate is slow to import)."""
+        from scipy.interpolate import CubicSpline
+
+        s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(self.points, axis=0), axis=1))])
+        spl = CubicSpline(2.0 * s / s[-1] - 1.0, self.points, axis=0)
+        return spl, spl.derivative()
+
+    def point(self, t):
+        """Crack points at parameters t in [-1, 1], shape (len(t), 2)."""
+        return self._spline[0](np.atleast_1d(t))
+
+    def deriv(self, t):
+        return self._spline[1](np.atleast_1d(t))
+
+    def centers(self):
+        """Point targets of the asymptotic model: every sample point."""
+        return self.points
 
 
 @dataclass(frozen=True)
@@ -59,16 +90,8 @@ class Scene:
         object.__setattr__(self, "cracks", tuple(self.cracks))
 
     def centers(self):
-        """Representative point centers: crack centers for segments, sample
-        points for parametric arcs (each sample acts as a point target in the
-        asymptotic model)."""
-        out = []
-        for c in self.cracks:
-            if isinstance(c, SegmentCrack):
-                out.append(np.asarray(c.center))
-            else:
-                out.extend(list(c.points))
-        return np.array(out)
+        """The point targets of all cracks, stacked, shape (n_targets, 2)."""
+        return np.vstack([c.centers() for c in self.cracks])
 
 
 @dataclass(frozen=True)
@@ -140,16 +163,11 @@ def incident_field(x, theta, k):
 # --- Scene documents: the run config's "scene", validated against
 # runconfig.schema.json's $defs/scene before it gets here ---
 
+_CRACK_TYPES = {"segment": SegmentCrack, "arc": ParametricCrack}
+
+
 def scene_from_dict(d):
-    cracks = []
-    for c in d["cracks"]:
-        if c["type"] == "segment":
-            cracks.append(SegmentCrack(center=tuple(c["center"]),
-                                       half_length=float(c["half_length"]),
-                                       angle=float(c.get("angle", 0.0))))
-        elif c["type"] == "arc":
-            cracks.append(ParametricCrack(points=np.array(c["points"])))
-        else:
-            raise ValueError(f"unknown crack type {c['type']!r}")
+    cracks = (_CRACK_TYPES[c["type"]](**{key: v for key, v in c.items() if key != "type"})
+              for c in d["cracks"])
     return Scene(cracks=tuple(cracks), wavenumber=float(d["wavenumber"]))
 

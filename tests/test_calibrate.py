@@ -57,7 +57,7 @@ def _arc_image_points(eta):
     arc = ParametricCrack(points=extended_arc_points())
     scene = Scene(cracks=(arc,), wavenumber=K3)
     scale = K3 / eta
-    ends = [scale * np.asarray(e) for e in arc.endpoints]
+    ends = scale * arc.point(np.array([-1.0, 1.0]))
     body = scale * scene.centers()
     return ends, body
 

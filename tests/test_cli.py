@@ -162,6 +162,7 @@ def test_calibrate_preset(tmp_path):
 def test_calibrate_requires_section(tmp_path):
     assert run("calibrate", "--preset", "fig1",
                "--out", str(tmp_path / "o")) == 2
+    assert not (tmp_path / "o").exists()
 
 
 # ---- errors and exit codes ----
@@ -215,6 +216,7 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
 @pytest.mark.parametrize("overrides, field", [
     ({"signal_dim": {"method": "manual"}}, "signal_dim: 'm'"),
     ({"signal_dim": {"method": "threshold"}}, "signal_dim: 'tau'"),
+    ({"signal_dim": {"method": "threshold", "tau": 2.0}}, "signal_dim/tau"),
     ({"forward": "bie", "bie_n": 64}, "'bie_n'"),
     ({"theory_variant": "linear"}, "'theory_variant'"),
     ({"exclusion_radius": 0.5}, "'exclusion_radius'"),
@@ -237,8 +239,8 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
     ({"scene": _arc_scene([[1, 1], [1, 1], [1.5, 1]])}, "scene: arc points 0 and 1 coincide"),
     ({"scene": _arc_scene([[1, 1], [1, 1], [1.5, 1]]), "forward": "bie"},
      "scene: arc points 0 and 1 coincide"),
-], ids=["manual-without-m", "threshold-without-tau", "bie_n", "theory_variant",
-        "exclusion_radius", "directions-mode", "calibration-kind", "calibration-origin",
+], ids=["manual-without-m", "threshold-without-tau", "threshold-above-1", "bie_n",
+        "theory_variant", "exclusion_radius", "directions-mode", "calibration-kind", "calibration-origin",
         "snr-minus-inf", "segment-without-half-length", "segment-unknown-key",
         "arc-with-angle", "wavenumber-nan", "eta-inf", "arc-points-all-coincide",
         "arc-repeated-point", "arc-repeated-point-bie"])
@@ -346,8 +348,13 @@ def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
-    # scipy.interpolate costs start-up; only a BIE solve on an arc needs it
-    code = "import sys, crackmusic.cli; print('scipy.interpolate' in sys.modules)"
+    # scipy.interpolate costs start-up; only a BIE solve on an arc needs it, so
+    # neither the import nor building the arc scenes of fig3/fig4 may load it
+    code = ("import sys, crackmusic.cli as cli\n"
+            "for argv in (['image', '--preset', 'fig3', '--out', 'o'],\n"
+            "             ['calibrate', '--preset', 'fig4', '--out', 'o']):\n"
+            "    cli.load_config(cli.build_parser().parse_args(argv))\n"
+            "print('scipy.interpolate' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -81,12 +81,27 @@ def test_manual_selection_and_bounds():
         select_signal_dim(sp, "manual", m=17)
 
 
+def _diag_msr(diagonal):
+    n = len(diagonal)
+    return MsrMatrix(entries=np.diag(np.asarray(diagonal, dtype=complex)),
+                     directions=make_directions(n, "closed"), wavenumber=1.0)
+
+
 def test_log_gap_flat_spectrum_is_ambiguous():
-    flat = MsrMatrix(entries=np.eye(8, dtype=complex),
-                     directions=make_directions(8, "closed"), wavenumber=1.0)
-    sp = select_signal_dim(svd_msr(flat), "log_gap")
-    assert sp.ambiguous
-    assert sp.m == 4   # the prefix bound
+    for diagonal in ([1.0] * 8, [0.0] * 8):   # identity, and zero (0/0 gaps)
+        sp = select_signal_dim(svd_msr(_diag_msr(diagonal)), "log_gap")
+        assert sp.ambiguous
+        assert sp.m == 4   # the prefix bound
+
+
+@pytest.mark.parametrize("diagonal, rank", [
+    ([1.0] + [0.0] * 15, 1),
+    ([1.0, 1.0, 1.0] + [0.0] * 5, 3),
+], ids=["16-rank-1", "8-rank-3"])
+def test_log_gap_finds_an_exact_rank_drop(diagonal, rank):
+    # sigma_M > 0 = sigma_{M+1} is an infinite gap, the largest there is
+    sp = select_signal_dim(svd_msr(_diag_msr(diagonal)), "log_gap")
+    assert (sp.m, sp.ambiguous) == (rank, False)
 
 
 # ---- noise projector ----
@@ -217,6 +232,15 @@ def test_imaging_near_one_far_from_peaks():
     sp = select_signal_dim(svd_msr(assemble_msr(sc, 0.05, dirs)), "manual", m=1)
     # k|x| large, far from (k/eta) z_1 = origin
     assert imaging_value(sp, (1.5, -1.2), K1, dirs) == pytest.approx(1.0, abs=0.1)
+
+
+def test_grid_points_never_pass_the_upper_bound():
+    assert np.array_equal(ImageGrid(0, 1, 0, 1, 0.6).xs(), [0.0, 0.6])
+    pts = ImageGrid(-1, 1, -1, 1, 0.3).points()
+    assert pts[-1].max() <= 1.0
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: still four points
+    g = ImageGrid(0, 0.3, 0, 0.3, 0.1)
+    assert g.xs().size == g.ys().size == 4
 
 
 def test_imaging_map_single_point_grid():

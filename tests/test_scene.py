@@ -87,3 +87,23 @@ def test_parametric_crack_validation():
         ParametricCrack(points=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="points 1 and 2 coincide"):
         ParametricCrack(points=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+
+
+def test_parametric_crack_fits_its_spline_once(monkeypatch):
+    import scipy.interpolate
+
+    fits = []
+
+    class CountingSpline(scipy.interpolate.CubicSpline):
+        def __init__(self, *args, **kwargs):
+            fits.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
+    arc = ParametricCrack(points=np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 0.0]]))
+    assert fits == []   # not at construction
+    t = np.array([-1.0, 0.0, 1.0])
+    assert np.allclose(arc.point(t)[[0, -1]], [[0.0, 0.0], [1.0, 0.0]])
+    assert arc.deriv(t).shape == (3, 2)
+    arc.point(t)
+    assert len(fits) == 1
