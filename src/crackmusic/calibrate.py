@@ -89,22 +89,23 @@ def _ray_distance(p, y):
     return float(np.linalg.norm(p - t * y))
 
 
-def calibrate_and_image(msr, plan, grid, signal_dim=None):
+def calibrate_and_image(msr, plan, grid, space):
     """Estimate k from the calibration peak, then re-image at eta = k_hat.
 
     msr must come from the scene augmented with the calibration scatterer at
-    plan.y.  The calibration peak is the dominant peak nearest the known ray
-    through y (restricted to peaks with positive projection onto y); the
-    estimate is insensitive to off-ray drift along an extended calibration
-    scatterer because of the least-squares projection in estimate_k.  Returns
-    (k_hat, remap, info): the re-imaged map at eta = k_hat plus a report
-    dict.  signal_dim holds the keywords of music.select_signal_dim (default
-    log_gap).  Raises if no dominant peak lies within RAY_TOL of the ray;
+    plan.y, and space is the signal space selected from it.  The calibration
+    peak is the dominant peak nearest the known ray through y (restricted to
+    peaks with positive projection onto y); the estimate is insensitive to
+    off-ray drift along an extended calibration scatterer because of the
+    least-squares projection in estimate_k.  Returns (k_hat, remap, info):
+    the re-imaged map at eta = k_hat plus a report dict.  Raises when M = 0
+    (the map is flat) or no dominant peak lies within RAY_TOL of the ray;
     flags ambiguity when crack images intrude on the ray neighborhood.
     """
-    space = music.select_signal_dim(music.svd_msr(msr), **(signal_dim or {}))
+    if space.m == 0:
+        raise ValueError("M = 0 leaves a flat map with no calibration peak")
     imap = music.imaging_map(space, grid, plan.eta, msr.directions)
-    peaks = music.find_peaks(imap, max(space.m, 1))
+    peaks = music.find_peaks(imap, space.m)
     y = np.asarray(plan.y)
     candidates = [(p, v, _ray_distance(p, y)) for p, v in peaks.peaks
                   if float(np.asarray(p) @ y) > 0]

@@ -45,6 +45,7 @@ def load_config(args):
             raise ConfigError(f"config must be a JSON object, not {type(cfg).__name__}")
     flags = {o["dest"]: getattr(args, o["dest"]) for o in _OVERRIDES.values()}
     cfg.update({key: v for key, v in flags.items() if v is not None})
+    cfg.setdefault("signal_dim", {"method": "log_gap"})
     try:
         jsonschema.validate(cfg, _load_schema())
     except jsonschema.ValidationError as e:
@@ -97,15 +98,6 @@ def _parse_signal_dim(spec):
     raise argparse.ArgumentTypeError(f"{spec!r} is not manual:M, log_gap or threshold:T")
 
 
-def _signal_dim(cfg):
-    """The config's signal_dim object: the keywords of music.select_signal_dim."""
-    return cfg.get("signal_dim", {"method": "log_gap"})
-
-
-def _signal_space(msr, cfg):
-    return music.select_signal_dim(music.svd_msr(msr), **_signal_dim(cfg))
-
-
 def _theory_params(scene, eta):
     return TheoryParams(wavenumber=scene.wavenumber, eta=eta, centers=scene.centers())
 
@@ -122,17 +114,32 @@ def compute_msr(cfg):
     return msr
 
 
-def _get_msr(args, cfg):
+def _msr_and_space(args, cfg):
+    """The run's MSR data and its selected signal space: the one place M is chosen.
+
+    --msr data must have the config's direction count and wavenumber.
+    """
     if not args.msr:
-        return compute_msr(cfg)
-    csv_path = Path(args.msr)
-    sidecar = csv_path.with_suffix(".json")
-    try:
-        return load_msr(csv_path, sidecar)
-    except KeyError as e:
-        raise ConfigError(f"MSR sidecar {sidecar} lacks the key {e}") from e
-    except ValueError as e:
-        raise ConfigError(f"MSR file {csv_path}: {e}") from e
+        msr = compute_msr(cfg)
+    else:
+        csv_path = Path(args.msr)
+        sidecar = csv_path.with_suffix(".json")
+        try:
+            msr = load_msr(csv_path, sidecar)
+        except KeyError as e:
+            raise ConfigError(f"MSR sidecar {sidecar} lacks the key {e}") from e
+        except ValueError as e:
+            raise ConfigError(f"MSR file {csv_path}: {e}") from e
+        for key, got, where, want in (
+                ("n", msr.n, "directions.n", cfg["directions"]["n"]),
+                ("wavenumber", msr.wavenumber, "scene.wavenumber", cfg["scene"]["wavenumber"])):
+            if got != want:
+                raise ConfigError(f"MSR file {csv_path} has {key} = {got!r}, "
+                                  f"but the config's {where} is {want!r}")
+    space = music.select_signal_dim(music.svd_msr(msr), **cfg["signal_dim"])
+    if space.m == 0:
+        print("warning: M=0, every imaging map is flat", file=sys.stderr)
+    return msr, space
 
 
 def _write_json(obj, path):
@@ -148,8 +155,7 @@ def cmd_forward(cfg, args, out):
 
 
 def cmd_image(cfg, args, out):
-    msr = _get_msr(args, cfg)
-    space = _signal_space(msr, cfg)
+    msr, space = _msr_and_space(args, cfg)
     grid = ImageGrid(**cfg["grid"])
     for eta in cfg["etas"]:
         imap = music.imaging_map(space, grid, eta, msr.directions)
@@ -161,18 +167,15 @@ def cmd_image(cfg, args, out):
                      "peaks": [{"x": p[0], "y": p[1], "value": v}
                                for p, v in peaks.peaks]},
                     out / f"peaks_eta{tag}.json")
-        if space.m == 0:
-            print(f"warning: M=0, map at eta={tag} is flat", file=sys.stderr)
         print(out / f"map_eta{tag}.csv")
     return 0
 
 
 def cmd_svd(cfg, args, out):
-    msr = _get_msr(args, cfg)
-    space = _signal_space(msr, cfg)
+    msr, space = _msr_and_space(args, cfg)
     music.save_spectrum_csv(space, out / "spectrum.csv")
     _write_json({"m": space.m, "ambiguous": space.ambiguous,
-                 "method": _signal_dim(cfg)["method"]},
+                 "method": cfg["signal_dim"]["method"]},
                 out / "selection.json")
     print(out / "spectrum.csv")
     return 0
@@ -192,8 +195,7 @@ def cmd_theory(cfg, args, out):
 
 def cmd_compare(cfg, args, out):
     scene = scene_from_dict(cfg["scene"])
-    msr = _get_msr(args, cfg)
-    space = _signal_space(msr, cfg)
+    msr, space = _msr_and_space(args, cfg)
     grid = ImageGrid(**cfg["grid"])
     for eta in cfg["etas"]:
         imap = music.imaging_map(space, grid, eta, msr.directions)
@@ -207,9 +209,9 @@ def cmd_compare(cfg, args, out):
 
 
 def cmd_calibrate(cfg, args, out):
-    msr = _get_msr(args, cfg)
+    msr, space = _msr_and_space(args, cfg)
     k_hat, remap, info = calibrate_and_image(msr, CalibrationPlan(**cfg["calibration"]),
-                                             ImageGrid(**cfg["grid"]), signal_dim=_signal_dim(cfg))
+                                             ImageGrid(**cfg["grid"]), space)
     _write_json(info, out / "calibration.json")
     music.save_map_csv(remap, out / "map_khat.csv")
     music.save_map_pgm(remap, out / "map_khat.pgm")

@@ -10,13 +10,12 @@ declare) the resulting multistatic response (MSR) matrix is complex symmetric
 and factors as c * A A^T with A[n, m] = exp(i k theta_n . z_m).
 """
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import DirectionSet
+from .scene import DirectionSet, make_directions
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,7 @@ class MsrMatrix:
     extra: dict = None
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.complex128)
+        e = np.ascontiguousarray(self.entries, dtype=np.complex128)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("MSR matrix must be square")
         if not np.all(np.isfinite(e)):
@@ -76,20 +75,16 @@ def assemble_msr(scene, h, dirs):
                      provenance="asymptotic")
 
 
-# --- MSR file format: CSV of interleaved re,im pairs + JSON sidecar ---
+# --- MSR file format: the complex matrix viewed as interleaved re,im float64
+# columns, one CSV row of repr floats per matrix row, + JSON sidecar ---
 
 CONVENTION = "obs=-inc"
 
 
 def save_msr(msr, csv_path, sidecar_path):
-    with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f)
-        for row in msr.entries:
-            flat = []
-            for v in row:
-                flat.append(repr(float(v.real)))
-                flat.append(repr(float(v.imag)))
-            w.writerow(flat)
+    with open(csv_path, "w", newline="") as f:   # the bytes csv.writer writes
+        f.writelines(",".join(map(repr, row)) + "\r\n"
+                     for row in msr.entries.view(np.float64).tolist())
     meta = {
         "n": msr.n,
         "wavenumber": msr.wavenumber,
@@ -105,21 +100,17 @@ def save_msr(msr, csv_path, sidecar_path):
 
 def load_msr(csv_path, sidecar_path):
     """Read an MSR file pair; ValueError names what disagrees with the format."""
-    from .scene import make_directions
-
     with open(sidecar_path) as f:
         meta = json.load(f)
     if meta["convention"] != CONVENTION:
         raise ValueError(f"sidecar convention {meta['convention']!r} is not {CONVENTION!r}")
-    rows = []
     with open(csv_path, newline="") as f:
-        for rec in csv.reader(f):
-            vals = np.array([float(v) for v in rec])
-            rows.append(vals[0::2] + 1j * vals[1::2])
-    entries = np.array(rows)
+        vals = np.array([[float(v) for v in line.split(",")] for line in f.read().splitlines()])
     n = meta["n"]
-    if entries.shape != (n, n):
-        raise ValueError(f"matrix shape {entries.shape} does not match sidecar n = {n}")
+    if vals.shape != (n, 2 * n):
+        raise ValueError(f"floats of shape {vals.shape} do not match sidecar n = {n}, "
+                         f"which needs n rows of n re,im pairs, shape {(n, 2 * n)}")
+    entries = vals.view(np.complex128)
     dirs = make_directions(n, meta.get("direction_mode", "closed"))
     extra = {k: v for k, v in meta.items()
              if k not in ("n", "wavenumber", "convention", "provenance", "direction_mode")}

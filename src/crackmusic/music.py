@@ -18,7 +18,6 @@ _BLOCK_POINTS = 1 << 15     # grid points per imaging block
 class SignalSpace:
     singular_values: np.ndarray   # descending
     left_vectors: np.ndarray      # (N, N) columns U_m
-    right_vectors: np.ndarray     # (N, N) columns V_m
     m: int = None                 # selected signal dimension
     ambiguous: bool = False
 
@@ -68,13 +67,13 @@ class ImageMap:
 def svd_msr(msr):
     """Full SVD of the MSR matrix; selected dimension left unset."""
     try:
-        u, s, vh = np.linalg.svd(msr.entries)
+        u, s, _ = np.linalg.svd(msr.entries)
     except np.linalg.LinAlgError as e:
         raise ArithmeticError(f"SVD of {msr.n}x{msr.n} MSR matrix failed: {e}") from e
-    return SignalSpace(singular_values=s, left_vectors=u, right_vectors=vh.conj().T)
+    return SignalSpace(singular_values=s, left_vectors=u)
 
 
-def select_signal_dim(space, method="log_gap", m=None, tau=None):
+def select_signal_dim(space, method, m=None, tau=None):
     """Pick the signal-space dimension M.
 
     method "manual" uses m directly; "threshold" counts sigma_m/sigma_1 >= tau;

@@ -34,33 +34,31 @@ class TheoryParams:
         object.__setattr__(self, "centers", c)
 
 
-def _radicand(params, pts):
-    """1 - sum_m J0(|eta x - k z_m|)^2 per point, over blocks of about _BLOCK_ELEMS distances."""
+def _values(params, pts):
+    """(1 - sum_m J0(|eta x - k z_m|)^2)^(-1/2) per point, the radicand clamped
+    at _EPS, over blocks of about _BLOCK_ELEMS distances."""
     kz = params.wavenumber * params.centers
     rows = max(1, _BLOCK_ELEMS // kz.shape[0])
-    out = np.empty(pts.shape[0])
+    rad = np.empty(pts.shape[0])
     for i in range(0, pts.shape[0], rows):
         p = params.eta * pts[i:i + rows]
         j = bessel_j0(np.hypot(p[:, :1] - kz[:, 0], p[:, 1:] - kz[:, 1]))
         j *= j
-        out[i:i + rows] = 1.0 - j.sum(axis=1)
-    return out
+        rad[i:i + rows] = 1.0 - j.sum(axis=1)
+    return 1.0 / np.sqrt(np.maximum(rad, _EPS, out=rad), out=rad)
 
 
 def theory_value(params, x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    rad = np.maximum(_radicand(params, x), _EPS)
-    out = 1.0 / np.sqrt(rad)
-    return float(out[0]) if out.size == 1 else out
+    """The closed form at one point of shape (2,), a float, or at each row of
+    an (n, 2) array, an array of shape (n,)."""
+    x = np.asarray(x, dtype=float)
+    out = _values(params, np.atleast_2d(x))
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def theory_map(params, grid):
-    pts = grid.points()
-    if pts.size == 0:
-        raise ValueError("empty grid")
-    rad = np.maximum(_radicand(params, pts), _EPS)
-    ny, nx = grid.ys().size, grid.xs().size
-    return ImageMap(grid=grid, values=(1.0 / np.sqrt(rad)).reshape(ny, nx), eta=params.eta)
+    values = _values(params, grid.points()).reshape(grid.ys().size, grid.xs().size)
+    return ImageMap(grid=grid, values=values, eta=params.eta)
 
 
 def phase_distance(params, pts):
@@ -77,8 +75,9 @@ def compare_maps(a, b, params):
     """Relative deviation of two maps away from the predicted peaks.
 
     Grid points with phase distance min_m |eta x - k z_m| <= EXCLUSION_RADIUS
-    are excluded, as are points where either map is clamp-dominated (value
-    within three decades of the clamp ceiling).  Returns a dict report.
+    are excluded, as are points where either map is clamp-dominated (a value
+    of 1e3 or more: three decades below the closed form's clamp ceiling 1e6;
+    the imaging map's own ceiling is 1e12).  Returns a dict report.
     """
     if a.grid != b.grid:
         raise ValueError("maps must share a grid")

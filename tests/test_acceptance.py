@@ -205,11 +205,10 @@ def test_criterion_08_calibration_recovery():
     msr = assemble_msr(scene, 0.05, dirs)
     plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
-    k_hat, remap, _ = calibrate_and_image(msr, plan, grid,
-                                          signal_dim={"method": "threshold", "tau": 0.01})
+    space = select_signal_dim(svd_msr(msr), "threshold", tau=0.01)
+    k_hat, remap, _ = calibrate_and_image(msr, plan, grid, space)
     rel_err = abs(k_hat - K_04) / K_04
 
-    space = select_signal_dim(svd_msr(msr), "threshold", tau=0.01)
     m20 = imaging_map(space, grid, 20.0, dirs)
     arc = extended_arc_points()
     dense = extended_arc_points(2001)

@@ -3,8 +3,8 @@ import pytest
 
 from crackmusic import (CalibrationPlan, ImageGrid, Scene, SegmentCrack,
                         assemble_msr, calibrate_and_image, estimate_k,
-                        find_peaks, imaging_map, make_directions, safe_cone,
-                        select_signal_dim, svd_msr)
+                        find_peaks, imaging_map, make_directions, music,
+                        safe_cone, select_signal_dim, svd_msr)
 from crackmusic.presets import extended_arc_points
 from crackmusic.scene import ParametricCrack
 
@@ -113,7 +113,7 @@ def test_calibrate_small_scatterer_recovers_k():
     plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
     k_hat, remap, info = calibrate_and_image(msr, plan, grid,
-                                             signal_dim={"method": "manual", "m": 1})
+                                             select_signal_dim(svd_msr(msr), "manual", m=1))
     assert abs(k_hat - K3) / K3 < 0.05
     assert remap.eta == k_hat
     assert info["k_hat"] == k_hat
@@ -121,12 +121,24 @@ def test_calibrate_small_scatterer_recovers_k():
     assert not info["ambiguous"]
 
 
+def test_calibrate_images_with_the_space_it_is_given(monkeypatch):
+    msr = _segment_msr((0.0, -1.0))
+    space = select_signal_dim(svd_msr(msr), "manual", m=1)
+
+    def no_svd(msr):
+        raise AssertionError("calibrate_and_image computed its own SVD")
+    monkeypatch.setattr(music, "svd_msr", no_svd)
+    k_hat, _, _ = calibrate_and_image(msr, CalibrationPlan(y=(0.0, -1.0), eta=20.0),
+                                      ImageGrid(-2, 2, -2, 2, 0.01), space)
+    assert abs(k_hat - K3) / K3 < 0.05
+
+
 def test_calibrate_eta_equal_k_is_fixed_point():
     msr = _segment_msr((0.0, -1.0))
     plan = CalibrationPlan(y=(0.0, -1.0), eta=K3)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
     k_hat, remap, _ = calibrate_and_image(msr, plan, grid,
-                                          signal_dim={"method": "manual", "m": 1})
+                                          select_signal_dim(svd_msr(msr), "manual", m=1))
     assert abs(k_hat - K3) / K3 < 0.01
     pk = find_peaks(remap, 1)
     assert np.linalg.norm(np.asarray(pk.peaks[0][0]) - np.array([0.0, -1.0])) < 0.02
@@ -139,7 +151,7 @@ def test_calibrate_accuracy_improves_with_grid_step():
     for step in (0.02, 0.01, 0.005):
         k_hat, _, _ = calibrate_and_image(msr, plan,
                                           ImageGrid(-2, 2, -2, 2, step),
-                                          signal_dim={"method": "manual", "m": 1})
+                                          select_signal_dim(svd_msr(msr), "manual", m=1))
         errs.append(abs(k_hat - K3) / K3)
         # bound: (step/|y|)*(eta/k) plus sub-cell fit slack
         assert errs[-1] <= (step / 1.0) * (20.0 / K3) + 0.002
@@ -152,7 +164,7 @@ def test_calibrate_ambiguous_when_crack_image_near_ray():
     plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
     k_hat, _, info = calibrate_and_image(msr, plan, grid,
-                                         signal_dim={"method": "manual", "m": 2})
+                                         select_signal_dim(svd_msr(msr), "manual", m=2))
     assert info["ambiguous"]
 
 
@@ -164,4 +176,4 @@ def test_calibrate_no_peak_near_ray_raises():
     plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     with pytest.raises(ValueError):
         calibrate_and_image(msr, plan, ImageGrid(-2, 2, -2, 2, 0.01),
-                            signal_dim={"method": "manual", "m": 1})
+                            select_signal_dim(svd_msr(msr), "manual", m=1))

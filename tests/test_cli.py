@@ -100,13 +100,17 @@ def test_image_from_saved_msr(tmp_path):
 
 
 def test_image_m0_warns_flat(tmp_path, capsys):
+    # M = 0 is reported once per run, where M is chosen, not once per eta
     out = tmp_path / "out"
     assert run("image", "--preset", "fig1", "--out", str(out),
-               "--signal-dim", "manual:0", "--eta", "15", *GRID_COARSE) == 0
-    assert "M=0" in capsys.readouterr().err
+               "--signal-dim", "manual:0", "--eta", "10", "--eta", "15", *GRID_COARSE) == 0
+    assert capsys.readouterr().err.count("M=0") == 1
     vals = np.array([float(l.split(",")[2]) for l in
                      (out / "map_eta15.csv").read_text().splitlines()[1:]])
     assert np.ptp(vals) < 1e-9
+    assert run("compare", "--preset", "fig1", "--out", str(tmp_path / "cmp"),
+               "--signal-dim", "manual:0", "--eta", "15", *GRID_COARSE) == 0
+    assert capsys.readouterr().err.count("M=0") == 1
 
 
 # ---- svd ----
@@ -157,6 +161,12 @@ def test_calibrate_preset(tmp_path):
     assert info["eta_used"] == 20.0
     assert (out / "map_khat.csv").exists()
     assert (out / "map_khat.pgm").exists()
+
+
+def test_calibrate_m0_is_exit_3(tmp_path, capsys):
+    assert run("calibrate", "--preset", "fig4", "--signal-dim", "manual:0",
+               "--out", str(tmp_path / "o"), *GRID_COARSE) == 3
+    assert "numeric failure: M = 0" in capsys.readouterr().err
 
 
 def test_calibrate_requires_section(tmp_path):
@@ -318,11 +328,17 @@ def _nan_entry(csv_path, sidecar):
     csv_path.write_text("\n".join(rows) + "\n")
 
 
+def _odd_columns(csv_path, sidecar):
+    rows = csv_path.read_text().splitlines()
+    csv_path.write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows))
+
+
 @pytest.mark.parametrize("edit, problem", [
     (_set_sidecar("n", 12), "sidecar n = 12"),
     (_set_sidecar("convention", "obs=inc"), "'obs=inc'"),
     (_nan_entry, "non-finite"),
-], ids=["n-mismatch", "convention", "nan-entry"])
+    (_odd_columns, "(16, 31)"),
+], ids=["n-mismatch", "convention", "nan-entry", "odd-columns"])
 def test_bad_msr_file_is_exit_2(tmp_path, capsys, edit, problem):
     fwd = tmp_path / "fwd"
     assert run("forward", "--preset", "fig1", "--out", str(fwd)) == 0
@@ -331,6 +347,22 @@ def test_bad_msr_file_is_exit_2(tmp_path, capsys, edit, problem):
                "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert str(fwd / "msr.csv") in err and problem in err
+
+
+@pytest.mark.parametrize("command, data, key, got, want", [
+    ("compare", "fig2", "wavenumber", 2 * np.pi / 0.3, K1),
+    ("image", "fig3", "n", 32, 16),
+], ids=["compare-wavenumber", "image-n"])
+def test_msr_that_does_not_match_the_config_is_exit_2(tmp_path, capsys, command, data,
+                                                      key, got, want):
+    # fig1's config on another preset's data: a wrong k or N gives a wrong picture
+    fwd = tmp_path / "fwd"
+    assert run("forward", "--preset", data, "--out", str(fwd)) == 0
+    assert run(command, "--preset", "fig1", "--msr", str(fwd / "msr.csv"), "--eta", "15",
+               "--out", str(tmp_path / "o"), *GRID_COARSE) == 2
+    err = capsys.readouterr().err
+    assert str(fwd / "msr.csv") in err
+    assert f"{key} = {got!r}" in err and f"is {want!r}" in err
 
 
 def test_numeric_failure_is_exit_3(tmp_path):

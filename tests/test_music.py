@@ -49,8 +49,10 @@ def test_svd_rank_one_single_crack():
 def test_svd_reconstruction():
     msr = random_msr(12, 5)
     sp = svd_msr(msr)
-    rebuilt = (sp.left_vectors * sp.singular_values) @ sp.right_vectors.conj().T
-    assert np.linalg.norm(rebuilt - msr.entries) / np.linalg.norm(msr.entries) < 1e-10
+    # U diag(sigma^2) U* = K K*: the left vectors and the spectrum are all a stage reads
+    gram_k = msr.entries @ msr.entries.conj().T
+    rebuilt = (sp.left_vectors * sp.singular_values ** 2) @ sp.left_vectors.conj().T
+    assert np.linalg.norm(rebuilt - gram_k) / np.linalg.norm(gram_k) < 1e-10
     assert np.all(np.diff(sp.singular_values) <= 0)
     gram = sp.left_vectors.conj().T @ sp.left_vectors
     assert np.linalg.norm(gram - np.eye(12)) < 1e-10

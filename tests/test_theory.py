@@ -53,6 +53,17 @@ def test_value_multi_center_sum():
     assert theory_value(p, x) == pytest.approx(1.0 / np.sqrt(rad), rel=1e-13)
 
 
+def test_value_shape_follows_the_rank_of_its_input():
+    p = TheoryParams(wavenumber=1.0, eta=1.0, centers=[(0.0, 0.0)])
+    x = np.array([0.3, 0.4])
+    one = theory_value(p, x)
+    assert isinstance(one, float)
+    for rows in (x[None, :], np.array([x, x])):
+        vals = theory_value(p, rows)
+        assert isinstance(vals, np.ndarray) and vals.shape == (rows.shape[0],)
+        assert np.all(vals == one)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         TheoryParams(wavenumber=-1.0, eta=1.0, centers=[(0, 0)])

@@ -1,0 +1,55 @@
+"""Write the preset output set: every CLI command on the built-in presets.
+
+Usage: python tools/preset_outputs.py OUT
+
+Runs forward, image, svd, theory and compare on fig1-fig4, calibrate on
+fig4, image/svd from the saved fig1 MSR, calibrate from the saved fig4 MSR,
+and the BIE forward of fig1 and fig4 (their configs are written to OUT too)
+with calibrate from the fig4 BIE MSR.  Every command gets
+--seed 7 --snr-db 25 --grid=-2,2,-2,2,0.04 where it takes them.  The outputs
+are deterministic, so two trees made from the same code compare equal with
+`diff -r`, and trees made from two versions of the package (set PYTHONPATH
+to each one's src) show every output byte that changed between them.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+from crackmusic.cli import main
+from crackmusic.presets import PRESET_NAMES, preset_config
+
+NOISE = ("--seed=7", "--snr-db=25")
+GRID = ("--grid=-2,2,-2,2,0.04",)
+FLAGS = {"forward": NOISE, "image": NOISE + GRID, "svd": NOISE, "theory": GRID,
+         "compare": NOISE + GRID, "calibrate": NOISE + GRID}
+
+
+def run(out, command, *argv):
+    """Run one command into out, with the FLAGS it takes."""
+    if main([command, *argv, *FLAGS[command], "--out", str(out)]) != 0:
+        sys.exit(f"crackmusic {command} {' '.join(argv)} failed")
+
+
+def write_outputs(out):
+    out.mkdir(parents=True, exist_ok=True)
+    for name in PRESET_NAMES:
+        for command in ("forward", "image", "svd", "theory", "compare"):
+            run(out / name / command, command, "--preset", name)
+    run(out / "fig4" / "calibrate", "calibrate", "--preset", "fig4")
+    fig1_msr, fig4_msr = (str(out / n / "forward" / "msr.csv") for n in ("fig1", "fig4"))
+    run(out / "msr" / "image", "image", "--preset", "fig1", "--msr", fig1_msr)
+    run(out / "msr" / "svd", "svd", "--preset", "fig1", "--msr", fig1_msr)
+    run(out / "msr" / "calibrate", "calibrate", "--preset", "fig4", "--msr", fig4_msr)
+    for name in ("fig1", "fig4"):
+        cfg = out / f"bie_{name}.json"
+        cfg.write_text(json.dumps({**preset_config(name), "forward": "bie"}))
+        run(out / f"bie_{name}" / "forward", "forward", "--config", str(cfg))
+    run(out / "bie_fig4" / "calibrate", "calibrate", "--config", str(out / "bie_fig4.json"),
+        "--msr", str(out / "bie_fig4" / "forward" / "msr.csv"))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    write_outputs(Path(sys.argv[1]))
