@@ -1,27 +1,24 @@
 """MUSIC-type imaging of sound-soft cracks from multistatic far-field data."""
 
 from .calibrate import CalibrationPlan, SafeCone, calibrate_and_image, estimate_k, safe_cone
-from .forward_asym import MsrMatrix, assemble_msr, farfield_asym, load_msr, save_msr
+from .forward_asym import MsrMatrix, assemble_msr, load_msr, save_msr
 from .forward_bie import ArcDensity, assemble_msr_bie, farfield_bie, solve_scatter
 from .music import (ImageGrid, ImageMap, SignalSpace, find_peaks, imaging_map,
-                    imaging_value, select_signal_dim, svd_msr)
+                    select_signal_dim, svd_msr)
 from .noise import add_awgn
 from .scene import (DirectionSet, ParametricCrack, Scene, SegmentCrack,
                     incident_field, make_directions, separation_ok)
 from .special import bessel_j0, direction_average
-from .theory import (TheoryParams, compare_maps, phase_distance, theory_map,
-                     theory_value)
+from .theory import TheoryParams, compare_maps, phase_distance, theory_map
 
 __all__ = [
     "ArcDensity", "CalibrationPlan", "DirectionSet", "ImageGrid", "ImageMap",
     "MsrMatrix", "ParametricCrack", "SafeCone", "Scene", "SegmentCrack",
-    "SignalSpace", "TheoryParams", "add_awgn", "assemble_msr",
-    "assemble_msr_bie", "bessel_j0", "calibrate_and_image", "compare_maps",
-    "direction_average", "estimate_k", "farfield_asym", "farfield_bie",
-    "find_peaks", "imaging_map", "imaging_value", "incident_field",
-    "load_msr", "make_directions", "safe_cone", "save_msr",
-    "select_signal_dim", "separation_ok", "solve_scatter",
-    "svd_msr", "phase_distance", "theory_map", "theory_value",
+    "SignalSpace", "TheoryParams", "add_awgn", "assemble_msr", "assemble_msr_bie",
+    "bessel_j0", "calibrate_and_image", "compare_maps", "direction_average",
+    "estimate_k", "farfield_bie", "find_peaks", "imaging_map", "incident_field",
+    "load_msr", "make_directions", "safe_cone", "save_msr", "select_signal_dim",
+    "separation_ok", "solve_scatter", "svd_msr", "phase_distance", "theory_map",
 ]
 
 __version__ = "0.1.0"

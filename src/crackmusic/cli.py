@@ -57,6 +57,12 @@ def load_config(args):
     g = cfg["grid"]
     if g["x1"] < g["x0"] or g["y1"] < g["y0"]:
         raise ConfigError(f"grid ranges must be nonempty (x0 <= x1, y0 <= y1): {g}")
+    first = {}
+    for eta in cfg["etas"]:
+        tag = _tag(eta)
+        if tag in first:
+            raise ConfigError(f"etas {first[tag]!r} and {eta!r} share the file name tag eta{tag}")
+        first[tag] = eta
     if args.command == "calibrate" and "calibration" not in cfg:
         raise ConfigError("calibrate requires a 'calibration' config section")
     try:
@@ -64,6 +70,11 @@ def load_config(args):
     except ValueError as e:
         raise ConfigError(f"config scene: {e}") from e
     return cfg
+
+
+def _tag(eta):
+    """The part of an output file name that tells one eta's files from another's."""
+    return f"{eta:g}"
 
 
 def _non_finite(node, where=""):
@@ -159,7 +170,7 @@ def cmd_image(cfg, args, out):
     grid = ImageGrid(**cfg["grid"])
     for eta in cfg["etas"]:
         imap = music.imaging_map(space, grid, eta, msr.directions)
-        tag = f"{eta:g}"
+        tag = _tag(eta)
         music.save_map_csv(imap, out / f"map_eta{tag}.csv")
         music.save_map_pgm(imap, out / f"map_eta{tag}.pgm")
         peaks = music.find_peaks(imap, max(space.m, 1))
@@ -186,7 +197,7 @@ def cmd_theory(cfg, args, out):
     grid = ImageGrid(**cfg["grid"])
     for eta in cfg["etas"]:
         tmap = theory.theory_map(_theory_params(scene, eta), grid)
-        tag = f"{eta:g}"
+        tag = _tag(eta)
         music.save_map_csv(tmap, out / f"theory_eta{tag}.csv")
         music.save_map_pgm(tmap, out / f"theory_eta{tag}.pgm")
         print(out / f"theory_eta{tag}.csv")
@@ -203,8 +214,8 @@ def cmd_compare(cfg, args, out):
         tmap = theory.theory_map(params, grid)
         report = theory.compare_maps(imap, tmap, params)
         report["eta"] = eta
-        _write_json(report, out / f"compare_eta{eta:g}.json")
-        print(out / f"compare_eta{eta:g}.json")
+        _write_json(report, out / f"compare_eta{_tag(eta)}.json")
+        print(out / f"compare_eta{_tag(eta)}.json")
     return 0
 
 

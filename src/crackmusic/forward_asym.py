@@ -23,7 +23,7 @@ class MsrMatrix:
     entries: np.ndarray          # (N, N) complex
     directions: DirectionSet
     wavenumber: float
-    provenance: str = "asymptotic"   # asymptotic | bie | file
+    provenance: str = "asymptotic"   # asymptotic | bie
     extra: dict = None
 
     def __post_init__(self):
@@ -42,33 +42,13 @@ class MsrMatrix:
         return self.entries.shape[0]
 
 
-def _check_h(h):
+def assemble_msr(scene, h, dirs):
+    """K[j, l] = u_inf(-theta_j, theta_l) of the model above, built as c * A A^T."""
     if not (0.0 < h < 2.0):
         raise ValueError("half-length h must lie in (0, 2): ln(h/2) degenerates otherwise")
-
-
-def farfield_asym(obs, inc, scene, h):
-    """Leading-term far-field value for all small cracks in the scene."""
-    _check_h(h)
-    obs = np.asarray(obs, dtype=float)
-    inc = np.asarray(inc, dtype=float)
-    k = scene.wavenumber
-    z = scene.centers()
-    c = -2.0 * np.pi / np.log(h / 2.0)
-    return c * np.sum(np.exp(1j * k * (z @ (inc - obs))))
-
-
-def steering_matrix(scene, dirs):
-    """A[n, m] = exp(i k theta_n . z_m)."""
     z = scene.centers()
     th = dirs.vectors()
-    return np.exp(1j * scene.wavenumber * (th @ z.T))
-
-
-def assemble_msr(scene, h, dirs):
-    """K[j, l] = farfield_asym(-theta_j, theta_l); equals c * A A^T."""
-    _check_h(h)
-    a = steering_matrix(scene, dirs)
+    a = np.exp(1j * scene.wavenumber * (th @ z.T))
     c = -2.0 * np.pi / np.log(h / 2.0)
     entries = c * (a @ a.T)
     return MsrMatrix(entries=entries, directions=dirs, wavenumber=scene.wavenumber,
@@ -102,11 +82,15 @@ def load_msr(csv_path, sidecar_path):
     """Read an MSR file pair; ValueError names what disagrees with the format."""
     with open(sidecar_path) as f:
         meta = json.load(f)
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar {sidecar_path} is a JSON {type(meta).__name__}, not an object")
     if meta["convention"] != CONVENTION:
         raise ValueError(f"sidecar convention {meta['convention']!r} is not {CONVENTION!r}")
+    n = meta["n"]
+    if type(n) is not int or n < 2:   # type(): a JSON true is a bool, not a count
+        raise ValueError(f"sidecar {sidecar_path}: 'n' must be an integer >= 2, not {n!r}")
     with open(csv_path, newline="") as f:
         vals = np.array([[float(v) for v in line.split(",")] for line in f.read().splitlines()])
-    n = meta["n"]
     if vals.shape != (n, 2 * n):
         raise ValueError(f"floats of shape {vals.shape} do not match sidecar n = {n}, "
                          f"which needs n rows of n re,im pairs, shape {(n, 2 * n)}")

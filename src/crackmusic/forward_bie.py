@@ -117,13 +117,10 @@ def boundary_field(density, tau):
 
 
 def farfield_bie(density, obs):
-    """Far-field value(s) of the solved density at observation direction(s)."""
+    """Far-field values at one direction or an (n_obs, 2) array of them, shape (n_obs, n_inc)."""
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     phase = np.exp(-1j * density.wavenumber * (density.crack.point(density.nodes) @ obs.T))
-    ff = -(np.pi / density.n) * (phase.T @ density.values)           # (n_obs, n_inc)
-    if ff.size == 1:
-        return complex(ff[0, 0])
-    return ff
+    return -(np.pi / density.n) * (phase.T @ density.values)
 
 
 def _farfield_block(crack, k, th):

@@ -108,12 +108,6 @@ def select_signal_dim(space, method, m=None, tau=None):
     raise ValueError(f"unknown selection method {method!r}")
 
 
-def imaging_value(space, x, eta, dirs):
-    """E(x; eta) at one point: the imaging kernel on a one-point grid."""
-    x0, y0 = (float(c) for c in x)
-    return float(imaging_map(space, ImageGrid(x0, x0, y0, y0, 1.0), eta, dirs).values[0, 0])
-
-
 def imaging_map(space, grid, eta, dirs):
     """E(x; eta) = 1 / max(|P_noise f(x; eta)|, eps) over the grid.
 
@@ -130,8 +124,6 @@ def imaging_map(space, grid, eta, dirs):
     if th.shape[0] != space.n:
         raise ValueError(f"{th.shape[0]} directions for an MSR matrix of dimension {space.n}")
     xs, ys = grid.xs(), grid.ys()
-    if xs.size == 0 or ys.size == 0:
-        raise ValueError("empty grid")
     # with M = 0 the noise space is all of C^N and |f| = 1, so E = 1 exactly
     values = np.ones((ys.size, xs.size))
     if space.m > 0:

@@ -9,12 +9,12 @@ def add_awgn(msr, snr_db, seed):
     """Return a copy of the MSR matrix with white Gaussian noise added.
 
     Per-entry noise variance is mean(|K|^2) / 10^(snr_db/10) split equally
-    between real and imaginary parts (the usual awgn convention).  A
-    non-finite snr_db of +inf (or None) means "no noise": the input entries
-    are returned bit-exactly.  Deterministic for a fixed seed (PCG64).
+    between real and imaginary parts (the usual awgn convention).  An
+    snr_db of +inf means "no noise": the input entries are returned
+    bit-exactly.  Deterministic for a fixed seed (PCG64).
     """
     k = msr.entries
-    if snr_db is None or np.isposinf(snr_db):
+    if np.isposinf(snr_db):
         return replace(msr, entries=k.copy())
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite (or +inf for no noise)")

@@ -12,16 +12,13 @@ from scipy.special import j0 as _j0
 def bessel_j0(x):
     """Bessel function of order zero of the first kind, scipy.special.j0.
 
-    Accepts a scalar or ndarray (a scalar in gives a float out); rejects
-    non-finite input.  Even in x by construction.
+    Elementwise over an array of any shape; rejects non-finite input.  Even
+    in x by construction.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("bessel_j0 requires finite input")
-    out = _j0(np.abs(arr))
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return _j0(np.abs(arr))
 
 
 def direction_average(w, x, dirs):

@@ -48,14 +48,6 @@ def _values(params, pts):
     return 1.0 / np.sqrt(np.maximum(rad, _EPS, out=rad), out=rad)
 
 
-def theory_value(params, x):
-    """The closed form at one point of shape (2,), a float, or at each row of
-    an (n, 2) array, an array of shape (n,)."""
-    x = np.asarray(x, dtype=float)
-    out = _values(params, np.atleast_2d(x))
-    return float(out[0]) if x.ndim == 1 else out
-
-
 def theory_map(params, grid):
     values = _values(params, grid.points()).reshape(grid.ys().size, grid.xs().size)
     return ImageMap(grid=grid, values=values, eta=params.eta)

@@ -333,12 +333,20 @@ def _odd_columns(csv_path, sidecar):
     csv_path.write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows))
 
 
+def _sidecar_array(csv_path, sidecar):
+    sidecar.write_text(json.dumps(list(json.loads(sidecar.read_text()).items())))
+
+
 @pytest.mark.parametrize("edit, problem", [
     (_set_sidecar("n", 12), "sidecar n = 12"),
     (_set_sidecar("convention", "obs=inc"), "'obs=inc'"),
     (_nan_entry, "non-finite"),
     (_odd_columns, "(16, 31)"),
-], ids=["n-mismatch", "convention", "nan-entry", "odd-columns"])
+    (_sidecar_array, "msr.json is a JSON list, not an object"),
+    (_set_sidecar("n", "16"), "msr.json: 'n' must be an integer >= 2, not '16'"),
+    (_set_sidecar("n", True), "msr.json: 'n' must be an integer >= 2, not True"),
+], ids=["n-mismatch", "convention", "nan-entry", "odd-columns", "sidecar-array", "n-string",
+        "n-bool"])
 def test_bad_msr_file_is_exit_2(tmp_path, capsys, edit, problem):
     fwd = tmp_path / "fwd"
     assert run("forward", "--preset", "fig1", "--out", str(fwd)) == 0
@@ -363,6 +371,17 @@ def test_msr_that_does_not_match_the_config_is_exit_2(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert str(fwd / "msr.csv") in err
     assert f"{key} = {got!r}" in err and f"is {want!r}" in err
+
+
+@pytest.mark.parametrize("command", ["image", "theory", "compare"])
+def test_etas_with_one_file_name_tag_are_exit_2(tmp_path, capsys, command):
+    # 10 and 10.000001 both print as 10 under :g, so the second eta's files
+    # would overwrite the first's
+    out = tmp_path / "o"
+    assert run(command, "--preset", "fig1", "--eta", "10", "--eta", "10.000001",
+               "--out", str(out), *GRID_COARSE) == 2
+    assert "etas 10.0 and 10.000001 share the file name tag eta10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numeric_failure_is_exit_3(tmp_path):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from crackmusic import (MsrMatrix, Scene, SegmentCrack, assemble_msr, farfield_asym,
-                        load_msr, make_directions, save_msr)
-from crackmusic.forward_asym import steering_matrix
+from crackmusic import (MsrMatrix, Scene, SegmentCrack, assemble_msr, load_msr,
+                        make_directions, save_msr)
 from crackmusic.presets import preset_config
-from crackmusic.scene import scene_from_dict
+from crackmusic.scene import DirectionSet, scene_from_dict
+from reference import asym_farfield
 
 K1 = 2 * np.pi / 0.5
 
@@ -15,30 +15,34 @@ def scene3():
 
 
 def test_farfield_single_centered_crack():
+    # a crack at the origin scatters the same value c = -2 pi / ln(h/2) everywhere
     sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
-    got = farfield_asym((0.0, 1.0), (1.0, 0.0), sc, 0.05)
-    assert got == pytest.approx(-2 * np.pi / np.log(0.025))
+    msr = assemble_msr(sc, 0.05, make_directions(8, "open"))
+    assert np.allclose(msr.entries, -2 * np.pi / np.log(0.025), rtol=1e-15, atol=0)
 
 
 def test_farfield_forward_direction_sums_phases():
-    sc = scene3()
-    th = np.array([1.0, 0.0])
-    got = farfield_asym(th, th, sc, 0.05)
-    assert got == pytest.approx(-3 * 2 * np.pi / np.log(0.025))
+    # K[j, l] = u_inf(-theta_j, theta_l) looks forward (obs = inc) where
+    # theta_j = -theta_l, half a turn on; there every crack's phase is 1
+    n = 16
+    msr = assemble_msr(scene3(), 0.05, make_directions(n, "open"))
+    forward = msr.entries[(np.arange(n) + n // 2) % n, np.arange(n)]
+    assert forward == pytest.approx(np.full(n, -3 * 2 * np.pi / np.log(0.025)))
 
 
 def test_farfield_offset_crack_phase():
     sc = Scene(cracks=(SegmentCrack(center=(0.5, 0.0), half_length=0.05),),
                wavenumber=12.5664)
-    got = farfield_asym((-1.0, 0.0), (1.0, 0.0), sc, 0.05)
+    # K[0, 0] is u_inf(obs = (-1, 0), inc = (1, 0))
+    got = assemble_msr(sc, 0.05, make_directions(4, "open")).entries[0, 0]
     assert got == pytest.approx(-(2 * np.pi / np.log(0.025)) * np.exp(12.5664j))
 
 
 def test_farfield_rejects_bad_h():
     sc = scene3()
     for h in (0.0, -0.1, 2.0, 2.5):
-        with pytest.raises(ValueError):
-            farfield_asym((1.0, 0.0), (1.0, 0.0), sc, h)
+        with pytest.raises(ValueError, match="ln"):
+            assemble_msr(sc, h, make_directions(4))
 
 
 def test_msr_complex_symmetric():
@@ -61,20 +65,25 @@ def test_msr_three_cracks_rank_three():
 
 
 def test_factorization_reconstruction():
+    # every entry of the factored c A A^T is u_inf(-theta_j, theta_l)
     sc = scene3()
     dirs = make_directions(16, "closed")
     msr = assemble_msr(sc, 0.05, dirs)
-    a = steering_matrix(sc, dirs)
-    c = -2 * np.pi / np.log(0.025)
-    rebuilt = c * (a @ a.T)
-    assert np.linalg.norm(rebuilt - msr.entries) / np.linalg.norm(msr.entries) < 1e-12
+    th = dirs.vectors()
+    ref = np.array([[asym_farfield(-tj, tl, sc, 0.05) for tl in th] for tj in th])
+    assert np.max(np.abs(msr.entries - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_reciprocity_of_asymptotic_model():
+    # u_inf(v, t) = u_inf(-t, -v): with theta_0 = -v and theta_1 = t these are
+    # K[0, 1] and K[1, 0]
     sc = scene3()
     v = np.array([0.6, 0.8])
     t = np.array([-1.0, 0.0])
-    assert farfield_asym(v, t, sc, 0.05) == pytest.approx(farfield_asym(-t, -v, sc, 0.05))
+    dirs = DirectionSet(angles=np.array([np.arctan2(-v[1], -v[0]), np.arctan2(t[1], t[0])]))
+    k = assemble_msr(sc, 0.05, dirs).entries
+    assert k[0, 1] == pytest.approx(k[1, 0], rel=1e-14)
+    assert k[0, 1] == pytest.approx(asym_farfield(v, t, sc, 0.05), rel=1e-12)
 
 
 def test_msr_file_round_trip(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from crackmusic import (ImageGrid, Scene, SegmentCrack, assemble_msr, assemble_msr_bie,
-                        find_peaks, imaging_map, imaging_value, make_directions,
+                        find_peaks, imaging_map, make_directions,
                         select_signal_dim, separation_ok, svd_msr)
 
 K = 2 * np.pi / 0.5
@@ -20,6 +20,10 @@ def _random_scene(rng):
         scene = Scene(cracks=cracks, wavenumber=K)
         if separation_ok(scene)[0]:
             return scene
+
+
+def _at(x):
+    return ImageGrid(x[0], x[0], x[1], x[1], 1.0)
 
 
 def _rotation(phi):
@@ -54,8 +58,8 @@ def test_rotating_the_scene_by_one_direction_step_permutes_the_data():
             space_rot = select_signal_dim(svd_msr(msr_rot), "manual", m=3)
             for x in pts:
                 for eta in (10.0, K):
-                    e = imaging_value(space, x, eta, dirs)
-                    e_rot = imaging_value(space_rot, _rotation(phi) @ x, eta, dirs)
+                    e = imaging_map(space, _at(x), eta, dirs).values[0, 0]
+                    e_rot = imaging_map(space_rot, _at(_rotation(phi) @ x), eta, dirs).values[0, 0]
                     assert abs(e_rot - e) < 1e-10 * e
 
 

@@ -1,13 +1,12 @@
 import csv
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from crackmusic import (ImageGrid, Scene, SegmentCrack, assemble_msr,
-                        find_peaks, imaging_map, imaging_value,
-                        make_directions, select_signal_dim, svd_msr)
+                        find_peaks, imaging_map, make_directions,
+                        select_signal_dim, svd_msr)
 from crackmusic import music
 from crackmusic.forward_asym import MsrMatrix
 from crackmusic.music import ImageMap, save_map_csv, save_map_pgm, save_spectrum_csv
@@ -19,6 +18,11 @@ K1 = 2 * np.pi / 0.5
 
 def scene3():
     return scene_from_dict(preset_config("fig1")["scene"])
+
+
+def at(x):
+    """The one-point grid at x."""
+    return ImageGrid(x[0], x[0], x[1], x[1], 1.0)
 
 
 def msr3(n=16):
@@ -172,10 +176,13 @@ def test_imaging_map_rejects_nonpositive_eta():
 
 
 def test_imaging_map_rejects_empty_grid():
+    # imaging_map has no empty-grid case: an ImageGrid refuses a reversed
+    # range, and the narrowest one it accepts holds one point
+    with pytest.raises(ValueError, match="nonempty"):
+        ImageGrid(0.5, 0.4, -1, 1, 0.1)
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
-    empty = SimpleNamespace(xs=lambda: np.empty(0), ys=lambda: np.arange(3.0))
-    with pytest.raises(ValueError, match="empty grid"):
-        imaging_map(sp, empty, 10.0, make_directions(16, "closed"))
+    one = imaging_map(sp, at((0.5, 0.5)), 10.0, make_directions(16, "closed"))
+    assert one.values.shape == (1, 1)
 
 
 # ---- steering vectors, seen through the kernel ----
@@ -184,7 +191,7 @@ def test_imaging_map_origin_is_eta_independent():
     # the steering vector at the origin is constant whatever eta is
     sp = select_signal_dim(svd_msr(random_msr(16, 9)), "manual", m=5)
     dirs = make_directions(16, "closed")
-    vals = [imaging_value(sp, (0.0, 0.0), eta, dirs) for eta in (1.0, 7.5, 40.0)]
+    vals = [imaging_map(sp, at((0.0, 0.0)), eta, dirs).values[0, 0] for eta in (1.0, 7.5, 40.0)]
     assert vals == pytest.approx([vals[0]] * 3, rel=1e-13)
 
 
@@ -193,8 +200,8 @@ def test_imaging_map_scale_identity():
     dirs = make_directions(16, "closed")
     x = np.array([0.4, -0.7])
     eta, eta2 = 12.0, 18.0
-    assert imaging_value(sp, x, eta, dirs) == pytest.approx(
-        imaging_value(sp, (eta / eta2) * x, eta2, dirs), rel=1e-12)
+    assert imaging_map(sp, at(x), eta, dirs).values[0, 0] == pytest.approx(
+        imaging_map(sp, at((eta / eta2) * x), eta2, dirs).values[0, 0], rel=1e-12)
 
 
 def test_imaging_map_memory_is_bounded():
@@ -216,16 +223,15 @@ def test_imaging_map_memory_is_bounded():
 
 def test_imaging_m0_is_one_everywhere():
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=0)
-    dirs = make_directions(16, "closed")
-    for x in [(0, 0), (0.5, -0.3), (-1.1, 0.9)]:
-        assert imaging_value(sp, x, 10.0, dirs) == pytest.approx(1.0)
+    m = imaging_map(sp, ImageGrid(-1.1, 0.5, -0.3, 0.9, 0.4), 10.0, make_directions(16, "closed"))
+    assert np.array_equal(m.values, np.ones((4, 5)))
 
 
 def test_imaging_huge_at_crack_for_origin_crack():
     sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
     dirs = make_directions(16, "closed")
     sp = select_signal_dim(svd_msr(assemble_msr(sc, 0.05, dirs)), "manual", m=1)
-    assert imaging_value(sp, (0.0, 0.0), K1, dirs) > 1e3
+    assert imaging_map(sp, at((0.0, 0.0)), K1, dirs).values[0, 0] > 1e3
 
 
 def test_imaging_near_one_far_from_peaks():
@@ -233,7 +239,7 @@ def test_imaging_near_one_far_from_peaks():
     dirs = make_directions(64, "open")
     sp = select_signal_dim(svd_msr(assemble_msr(sc, 0.05, dirs)), "manual", m=1)
     # k|x| large, far from (k/eta) z_1 = origin
-    assert imaging_value(sp, (1.5, -1.2), K1, dirs) == pytest.approx(1.0, abs=0.1)
+    assert imaging_map(sp, at((1.5, -1.2)), K1, dirs).values[0, 0] == pytest.approx(1.0, abs=0.1)
 
 
 def test_grid_points_never_pass_the_upper_bound():
@@ -246,12 +252,17 @@ def test_grid_points_never_pass_the_upper_bound():
 
 
 def test_imaging_map_single_point_grid():
+    # the kernel against the projector written out: 1 / |(I - U_M U_M^H) f|
+    # with the unit steering vector f = exp(i eta theta . x) / sqrt(N)
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
     dirs = make_directions(16, "closed")
-    g = ImageGrid(0.25, 0.25, -0.5, -0.5, 0.1)
-    m = imaging_map(sp, g, 12.0, dirs)
+    x, eta = np.array([0.25, -0.5]), 12.0
+    m = imaging_map(sp, at(x), eta, dirs)
     assert m.values.shape == (1, 1)
-    assert m.values[0, 0] == pytest.approx(imaging_value(sp, (0.25, -0.5), 12.0, dirs))
+    u = sp.left_vectors[:, :sp.m]
+    f = np.exp(1j * eta * (dirs.vectors() @ x)) / np.sqrt(dirs.n)
+    expect = 1.0 / np.linalg.norm((np.eye(dirs.n) - u @ u.conj().T) @ f)
+    assert m.values[0, 0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_imaging_floor_noiseless():

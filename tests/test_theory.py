@@ -6,7 +6,7 @@ import pytest
 from crackmusic import (ImageGrid, TheoryParams, assemble_msr, compare_maps,
                         find_peaks, imaging_map, make_directions,
                         phase_distance, select_signal_dim, svd_msr,
-                        theory_map, theory_value)
+                        theory_map)
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
 from crackmusic.special import bessel_j0
@@ -19,6 +19,11 @@ def scene3():
     return scene_from_dict(preset_config("fig1")["scene"])
 
 
+def value_at(params, x):
+    """The closed form at x, read off a one-point map."""
+    return theory_map(params, ImageGrid(x[0], x[0], x[1], x[1], 1.0)).values[0, 0]
+
+
 def params3(eta):
     return TheoryParams(wavenumber=K1, eta=eta, centers=scene3().centers())
 
@@ -28,20 +33,20 @@ def params3(eta):
 def test_value_clamped_at_peak():
     p = TheoryParams(wavenumber=K1, eta=K1, centers=[(0.0, 0.0)])
     # at the peak the radicand is clamped at 1e-12
-    assert theory_value(p, (0.0, 0.0)) == pytest.approx(1e6)
+    assert value_at(p, (0.0, 0.0)) == pytest.approx(1e6)
 
 
 def test_value_at_j0_zero_is_one():
     p = TheoryParams(wavenumber=1.0, eta=1.0, centers=[(0.0, 0.0)])
     x = (J0_FIRST_ZERO, 0.0)
-    assert theory_value(p, x) == pytest.approx(1.0, abs=1e-12)
+    assert value_at(p, x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_value_matches_j0_formula():
     p = TheoryParams(wavenumber=1.0, eta=1.0, centers=[(0.0, 0.0)])
     # |eta x - k z| = 10
     expect = 1.0 / np.sqrt(1.0 - bessel_j0(10.0) ** 2)
-    assert theory_value(p, (10.0, 0.0)) == pytest.approx(expect, rel=1e-13)
+    assert value_at(p, (10.0, 0.0)) == pytest.approx(expect, rel=1e-13)
 
 
 def test_value_multi_center_sum():
@@ -50,18 +55,7 @@ def test_value_multi_center_sum():
     rad = 1.0 - sum(
         bessel_j0(np.linalg.norm(3.0 * x - 2.0 * np.array(z))) ** 2
         for z in [(1.0, 0.0), (0.0, -1.0)])
-    assert theory_value(p, x) == pytest.approx(1.0 / np.sqrt(rad), rel=1e-13)
-
-
-def test_value_shape_follows_the_rank_of_its_input():
-    p = TheoryParams(wavenumber=1.0, eta=1.0, centers=[(0.0, 0.0)])
-    x = np.array([0.3, 0.4])
-    one = theory_value(p, x)
-    assert isinstance(one, float)
-    for rows in (x[None, :], np.array([x, x])):
-        vals = theory_value(p, rows)
-        assert isinstance(vals, np.ndarray) and vals.shape == (rows.shape[0],)
-        assert np.all(vals == one)
+    assert value_at(p, x) == pytest.approx(1.0 / np.sqrt(rad), rel=1e-13)
 
 
 def test_params_validation():
@@ -90,7 +84,7 @@ def test_multi_center_map_maximal_at_scaled_centers():
     targets = (K1 / eta) * scene3().centers()
     # each scaled center attains the clamped ceiling; the map never exceeds it
     for z in targets:
-        assert theory_value(p, z) == pytest.approx(1e6)
+        assert value_at(p, z) == pytest.approx(1e6)
     m = theory_map(p, ImageGrid(-2, 2, -2, 2, 0.02))
     assert m.values.max() <= 1e6
     far = phase_distance(p, m.grid.points()) > 3.0
@@ -101,7 +95,7 @@ def test_map_radially_symmetric_single_center():
     p = TheoryParams(wavenumber=1.0, eta=1.0, centers=[(0.0, 0.0)])
     r = 1.7
     angles = np.linspace(0, 2 * np.pi, 37)
-    vals = theory_value(p, np.c_[r * np.cos(angles), r * np.sin(angles)])
+    vals = [value_at(p, (r * np.cos(a), r * np.sin(a))) for a in angles]
     assert np.ptp(vals) < 1e-9
 
 
