@@ -2,10 +2,7 @@
 
 Imaging with a probe wavenumber eta places every target image at (k/eta) z
 instead of z.  Placing a known scatterer at y and locating its image peak p
-therefore determines k = eta * (p . y) / (y . y).  The safe-placement cone
-bounds where images of the unknown crack can fall for *any* eta (rays from
-the origin are the unique lines containing (k/eta) z for all eta >= 0), so a
-calibration scatterer placed outside the cone cannot be confused with them.
+therefore determines k = eta * (p . y) / (y . y).
 """
 
 from dataclasses import dataclass
@@ -29,43 +26,6 @@ class CalibrationPlan:
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         object.__setattr__(self, "y", (float(y[0]), float(y[1])))
-
-
-@dataclass(frozen=True)
-class SafeCone:
-    """Angular sector from the origin containing all scaled crack images."""
-
-    angle_lo: float
-    angle_hi: float               # lo < hi, hi - lo in (0, 2*pi)
-
-    @property
-    def width(self):
-        return self.angle_hi - self.angle_lo
-
-    def contains(self, p):
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        a = np.arctan2(p[:, 1], p[:, 0])
-        rel = np.mod(a - self.angle_lo, 2.0 * np.pi)
-        inside = rel <= self.width + 1e-12
-        return bool(inside[0]) if inside.size == 1 else inside
-
-
-def safe_cone(endpoint_images, sample_images):
-    """Cone bounded by rays through the two endpoint images, oriented to
-    contain the sample images."""
-    e1, e2 = (np.asarray(e, dtype=float) for e in endpoint_images)
-    if np.linalg.norm(e1) == 0 or np.linalg.norm(e2) == 0:
-        raise ValueError("endpoint image at the origin is degenerate")
-    a1 = float(np.arctan2(e1[1], e1[0]))
-    a2 = float(np.arctan2(e2[1], e2[0]))
-    lo, hi = (a1, a2) if a1 <= a2 else (a2, a1)
-    if hi - lo >= 2.0 * np.pi or hi == lo:
-        raise ValueError("endpoint images are collinear with the origin")
-    inner = SafeCone(angle_lo=lo, angle_hi=hi)
-    outer = SafeCone(angle_lo=hi, angle_hi=lo + 2.0 * np.pi)
-    samples = np.atleast_2d(np.asarray(sample_images, dtype=float))
-    n_in = int(np.sum(inner.contains(samples)))
-    return inner if n_in >= samples.shape[0] - n_in else outer
 
 
 def estimate_k(peak, y, eta):

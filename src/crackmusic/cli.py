@@ -128,7 +128,8 @@ def compute_msr(cfg):
 def _msr_and_space(args, cfg):
     """The run's MSR data and its selected signal space: the one place M is chosen.
 
-    --msr data must have the config's direction count and wavenumber.
+    --msr data must have the config's direction count, wavenumber and closed
+    directions.
     """
     if not args.msr:
         msr = compute_msr(cfg)
@@ -138,14 +139,15 @@ def _msr_and_space(args, cfg):
         try:
             msr = load_msr(csv_path, sidecar)
         except KeyError as e:
-            raise ConfigError(f"MSR sidecar {sidecar} lacks the key {e}") from e
+            raise ConfigError(f"MSR file {csv_path}: sidecar {sidecar} lacks the key {e}") from e
         except ValueError as e:
             raise ConfigError(f"MSR file {csv_path}: {e}") from e
         for key, got, where, want in (
                 ("n", msr.n, "directions.n", cfg["directions"]["n"]),
-                ("wavenumber", msr.wavenumber, "scene.wavenumber", cfg["scene"]["wavenumber"])):
+                ("wavenumber", msr.wavenumber, "scene.wavenumber", cfg["scene"]["wavenumber"]),
+                ("direction_mode", msr.directions.mode, "direction mode", "closed")):
             if got != want:
-                raise ConfigError(f"MSR file {csv_path} has {key} = {got!r}, "
+                raise ConfigError(f"MSR file {csv_path}: sidecar {sidecar} has {key} = {got!r}, "
                                   f"but the config's {where} is {want!r}")
     space = music.select_signal_dim(music.svd_msr(msr), **cfg["signal_dim"])
     if space.m == 0:

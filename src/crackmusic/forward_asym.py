@@ -11,7 +11,7 @@ and factors as c * A A^T with A[n, m] = exp(i k theta_n . z_m).
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class MsrMatrix:
     directions: DirectionSet
     wavenumber: float
     provenance: str = "asymptotic"   # asymptotic | bie
-    extra: dict = None
+    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         e = np.ascontiguousarray(self.entries, dtype=np.complex128)
@@ -59,6 +59,13 @@ def assemble_msr(scene, h, dirs):
 # columns, one CSV row of repr floats per matrix row, + JSON sidecar ---
 
 CONVENTION = "obs=-inc"
+_SIDECAR = {     # key: (test of its JSON value, what it must be); type(): a JSON true is a bool
+    "convention": (lambda v: v == CONVENTION, repr(CONVENTION)),
+    "n": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
+    "wavenumber": (lambda v: type(v) in (int, float), "a number"),
+    "provenance": (lambda v: v in ("asymptotic", "bie"), "'asymptotic' or 'bie'"),
+    "direction_mode": (lambda v: v in ("closed", "open"), "'closed' or 'open'"),
+}
 
 
 def save_msr(msr, csv_path, sidecar_path):
@@ -71,9 +78,8 @@ def save_msr(msr, csv_path, sidecar_path):
         "convention": CONVENTION,
         "provenance": msr.provenance,
         "direction_mode": msr.directions.mode,
+        **msr.extra,
     }
-    if msr.extra:
-        meta.update(msr.extra)
     with open(sidecar_path, "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
 
@@ -84,20 +90,16 @@ def load_msr(csv_path, sidecar_path):
         meta = json.load(f)
     if not isinstance(meta, dict):
         raise ValueError(f"sidecar {sidecar_path} is a JSON {type(meta).__name__}, not an object")
-    if meta["convention"] != CONVENTION:
-        raise ValueError(f"sidecar convention {meta['convention']!r} is not {CONVENTION!r}")
+    for key, (ok, want) in _SIDECAR.items():
+        if not ok(meta[key]):
+            raise ValueError(f"sidecar {sidecar_path}: {key!r} must be {want}, not {meta[key]!r}")
     n = meta["n"]
-    if type(n) is not int or n < 2:   # type(): a JSON true is a bool, not a count
-        raise ValueError(f"sidecar {sidecar_path}: 'n' must be an integer >= 2, not {n!r}")
     with open(csv_path, newline="") as f:
         vals = np.array([[float(v) for v in line.split(",")] for line in f.read().splitlines()])
     if vals.shape != (n, 2 * n):
         raise ValueError(f"floats of shape {vals.shape} do not match sidecar n = {n}, "
                          f"which needs n rows of n re,im pairs, shape {(n, 2 * n)}")
     entries = vals.view(np.complex128)
-    dirs = make_directions(n, meta.get("direction_mode", "closed"))
-    extra = {k: v for k, v in meta.items()
-             if k not in ("n", "wavenumber", "convention", "provenance", "direction_mode")}
-    return MsrMatrix(entries=entries, directions=dirs,
-                     wavenumber=float(meta["wavenumber"]),
-                     provenance=meta["provenance"], extra=extra or None)
+    return MsrMatrix(entries=entries, directions=make_directions(n, meta["direction_mode"]),
+                     wavenumber=float(meta["wavenumber"]), provenance=meta["provenance"],
+                     extra={k: v for k, v in meta.items() if k not in _SIDECAR})

@@ -24,4 +24,4 @@ def add_awgn(msr, snr_db, seed):
     s = np.sqrt(var / 2.0)
     w = s * (rng.standard_normal(k.shape) + 1j * rng.standard_normal(k.shape))
     return replace(msr, entries=k + w,
-                   extra={**(msr.extra or {}), "snr_db": snr_db, "seed": int(seed)})
+                   extra={**msr.extra, "snr_db": snr_db, "seed": int(seed)})

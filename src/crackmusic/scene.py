@@ -19,9 +19,9 @@ class SegmentCrack:
             raise ValueError("half_length must be positive")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
-    def is_small_for(self, k, factor=0.1):
-        """Warning predicate: half_length small versus wavelength 2*pi/k."""
-        return self.half_length <= factor * (2.0 * np.pi / k)
+    def is_small_for(self, k):
+        """Warning predicate: half_length at most a tenth of the wavelength 2*pi/k."""
+        return self.half_length <= 0.1 * (2.0 * np.pi / k)
 
     def point(self, t):
         """Crack points at parameters t in [-1, 1], shape (len(t), 2)."""
@@ -133,21 +133,21 @@ def make_directions(n, mode="closed"):
     return DirectionSet(angles=ang, mode=mode)
 
 
-def separation_ok(scene, separation_factor=5.0):
-    """Check k*|z_m - z_m'| >= separation_factor over all center pairs.
+SEPARATION_FACTOR = 5.0           # smallest k * distance between two point targets
 
-    Returns (ok, report) where report lists failing pairs; a warning
-    predicate, not an error.
+
+def separation_ok(scene):
+    """Check k*|z_m - z_m'| >= SEPARATION_FACTOR over all pairs of point targets.
+
+    Returns (ok, report) where report lists the failing pairs as row indices
+    of scene.centers(); a warning predicate, not an error.
     """
-    centers = [np.asarray(c.center) for c in scene.cracks if isinstance(c, SegmentCrack)]
-    k = scene.wavenumber
-    failing = []
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            v = k * np.linalg.norm(centers[i] - centers[j])
-            if v < separation_factor:
-                failing.append({"pair": (i, j), "k_dist": float(v)})
-    return len(failing) == 0, failing
+    z = scene.centers()
+    i, j = np.triu_indices(len(z), 1)
+    k_dist = scene.wavenumber * np.linalg.norm(z[i] - z[j], axis=1)
+    failing = [{"pair": (int(a), int(b)), "k_dist": float(v)}
+               for a, b, v in zip(i, j, k_dist) if v < SEPARATION_FACTOR]
+    return not failing, failing
 
 
 def incident_field(x, theta, k):

@@ -3,10 +3,8 @@ import pytest
 
 from crackmusic import (CalibrationPlan, ImageGrid, Scene, SegmentCrack,
                         assemble_msr, calibrate_and_image, estimate_k,
-                        find_peaks, imaging_map, make_directions, music,
-                        safe_cone, select_signal_dim, svd_msr)
-from crackmusic.presets import extended_arc_points
-from crackmusic.scene import ParametricCrack
+                        find_peaks, make_directions, music,
+                        select_signal_dim, svd_msr)
 
 K3 = 2 * np.pi / 0.4
 
@@ -18,63 +16,6 @@ def test_plan_rejects_origin_and_bad_eta():
         CalibrationPlan(y=(0.0, 0.0), eta=20.0)
     with pytest.raises(ValueError):
         CalibrationPlan(y=(0.0, -1.0), eta=0.0)
-
-
-# ---- safe cone ----
-
-def test_cone_quadrant_example():
-    cone = safe_cone([(1.0, 0.0), (0.0, 1.0)],
-                     [(0.5, 0.5), (0.9, 0.2), (0.1, 0.8)])
-    assert cone.width == pytest.approx(np.pi / 2)
-    assert cone.contains((0.3, 0.3))
-    assert not cone.contains((-1.0, -1.0))
-    assert not cone.contains((0.0, -1.0))
-
-
-def test_cone_scale_invariance():
-    args = ([(1.0, 0.0), (0.0, 1.0)], [(0.5, 0.5)])
-    c1 = safe_cone(*args)
-    c2 = safe_cone([(2.0, 0.0), (0.0, 2.0)], [(1.0, 1.0)])
-    assert c1 == c2
-
-
-def test_cone_picks_sector_containing_samples():
-    # samples in the three other quadrants -> complement sector is chosen
-    cone = safe_cone([(1.0, 0.0), (0.0, 1.0)],
-                     [(-1.0, 0.5), (-0.5, -0.5), (0.5, -1.0)])
-    assert cone.width == pytest.approx(3 * np.pi / 2)
-    assert cone.contains((-1.0, -1.0))
-    assert not cone.contains((0.5, 0.5))
-
-
-def test_cone_degenerate_endpoint():
-    with pytest.raises(ValueError):
-        safe_cone([(0.0, 0.0), (0.0, 1.0)], [(0.5, 0.5)])
-
-
-def _arc_image_points(eta):
-    """Peak-localized images of the extended arc's endpoints and body."""
-    arc = ParametricCrack(points=extended_arc_points())
-    scene = Scene(cracks=(arc,), wavenumber=K3)
-    scale = K3 / eta
-    ends = scale * arc.point(np.array([-1.0, 1.0]))
-    body = scale * scene.centers()
-    return ends, body
-
-
-def test_cone_from_arc_excludes_placement_ray():
-    ends, body = _arc_image_points(20.0)
-    cone = safe_cone(ends, body)
-    assert not cone.contains((0.0, -1.0))
-
-
-def test_cone_eta_invariance_for_arc():
-    cones = []
-    for eta in (15.0, 20.0):
-        ends, body = _arc_image_points(eta)
-        cones.append(safe_cone(ends, body))
-    assert cones[0].angle_lo == pytest.approx(cones[1].angle_lo, abs=1e-9)
-    assert cones[0].angle_hi == pytest.approx(cones[1].angle_hi, abs=1e-9)
 
 
 # ---- scalar estimate ----

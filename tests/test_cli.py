@@ -322,6 +322,14 @@ def _set_sidecar(key, value):
     return edit
 
 
+def _drop_sidecar_key(key):
+    def edit(csv_path, sidecar):
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+    return edit
+
+
 def _nan_entry(csv_path, sidecar):
     rows = csv_path.read_text().splitlines()
     rows[3] = "nan," + rows[3].split(",", 1)[1]
@@ -345,8 +353,19 @@ def _sidecar_array(csv_path, sidecar):
     (_sidecar_array, "msr.json is a JSON list, not an object"),
     (_set_sidecar("n", "16"), "msr.json: 'n' must be an integer >= 2, not '16'"),
     (_set_sidecar("n", True), "msr.json: 'n' must be an integer >= 2, not True"),
+    (_set_sidecar("wavenumber", None), "msr.json: 'wavenumber' must be a number, not None"),
+    (_set_sidecar("wavenumber", [1]), "msr.json: 'wavenumber' must be a number, not [1]"),
+    (_set_sidecar("wavenumber", "abc"), "msr.json: 'wavenumber' must be a number, not 'abc'"),
+    (_set_sidecar("wavenumber", repr(K1)),
+     f"msr.json: 'wavenumber' must be a number, not {repr(K1)!r}"),
+    (_set_sidecar("provenance", [1]),
+     "msr.json: 'provenance' must be 'asymptotic' or 'bie', not [1]"),
+    (_set_sidecar("direction_mode", "open"),
+     "msr.json has direction_mode = 'open', but the config's direction mode is 'closed'"),
+    (_drop_sidecar_key("direction_mode"), "msr.json lacks the key 'direction_mode'"),
 ], ids=["n-mismatch", "convention", "nan-entry", "odd-columns", "sidecar-array", "n-string",
-        "n-bool"])
+        "n-bool", "wavenumber-null", "wavenumber-list", "wavenumber-abc", "wavenumber-string",
+        "provenance-list", "direction-mode-open", "direction-mode-missing"])
 def test_bad_msr_file_is_exit_2(tmp_path, capsys, edit, problem):
     fwd = tmp_path / "fwd"
     assert run("forward", "--preset", "fig1", "--out", str(fwd)) == 0

@@ -18,13 +18,10 @@ import crackmusic
 from crackmusic.cli import main
 from crackmusic.presets import PRESET_NAMES, preset_config
 
-_ASSUMPTION_CHECK = "a modelling-assumption check: ROADMAP item 3 wires it in or deletes it"
+_ASSUMPTION_CHECK = "a modelling-assumption check: ROADMAP item 3 wires it in"
 UNREACHED = {
     "forward_bie.boundary_field": "the BIE exactness check (ROADMAP item 4)",
     "special.direction_average": "acceptance criterion 1 is built on it",
-    "calibrate.safe_cone": _ASSUMPTION_CHECK,
-    "calibrate.SafeCone.width": _ASSUMPTION_CHECK,
-    "calibrate.SafeCone.contains": _ASSUMPTION_CHECK,
     "scene.separation_ok": _ASSUMPTION_CHECK,
     "scene.SegmentCrack.is_small_for": _ASSUMPTION_CHECK,
 }
@@ -89,8 +86,11 @@ def test_every_public_function_is_reached_from_the_cli(tmp_path):
         _run_everything(tmp_path)
     finally:
         sys.setprofile(None)
-    unreached = {name for name, code in _public_code().items() if code not in called}
+    public = _public_code()
+    unreached = {name for name, code in public.items() if code not in called}
     extra = sorted(unreached - set(UNREACHED))
     assert not extra, f"no CLI run calls {', '.join(extra)}"
+    gone = sorted(set(UNREACHED) - set(public))
+    assert not gone, f"crackmusic defines no {', '.join(gone)}: drop it from UNREACHED"
     stale = sorted(set(UNREACHED) - unreached)
     assert not stale, f"a CLI run calls {', '.join(stale)}: drop it from UNREACHED"

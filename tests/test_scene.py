@@ -3,6 +3,8 @@ import pytest
 
 from crackmusic import (ParametricCrack, Scene, SegmentCrack, incident_field,
                         make_directions, separation_ok)
+from crackmusic.presets import preset_config
+from crackmusic.scene import scene_from_dict
 
 
 def test_make_directions_n2_closed():
@@ -56,6 +58,16 @@ def test_separation_fails_when_close():
     ok, report = separation_ok(sc)
     assert not ok
     assert report[0]["k_dist"] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("name, separated", [
+    ("fig1", True), ("fig2", True), ("fig3", False), ("fig4", False)])
+def test_separation_covers_every_point_target(name, separated):
+    # an arc's point targets are its sample points, 0.05 apart at k = 2*pi/0.4
+    ok, report = separation_ok(scene_from_dict(preset_config(name)["scene"]))
+    assert ok == separated and (report == []) == separated
+    if not separated:
+        assert min(r["k_dist"] for r in report) == pytest.approx(0.79, abs=0.01)
 
 
 def test_incident_field_values():
