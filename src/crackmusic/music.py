@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 EPS_CLAMP = 1e-12
-_BLOCK_POINTS = 1 << 15     # grid points per imaging block
+_BLOCK_BYTES = 1 << 21      # bytes of one imaging block's complex steering vectors
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,9 @@ def imaging_map(space, grid, eta, dirs):
     The steering phases separate, exp(i eta theta.x) = exp(i eta x cos)
     exp(i eta y sin), so only an (nx, N) and an (ny, N) factor are built.
     |P_noise f| is the norm of f against the N - M trailing left singular
-    vectors, taken one block of about _BLOCK_POINTS grid points at a time.
+    vectors, taken a block of grid rows at a time.  A block's (points, N)
+    complex steering array holds at most _BLOCK_BYTES (at least one row), so
+    the kernel's temporaries stay a few MB whatever the grid size.
     """
     if space.m is None:
         raise ValueError("signal dimension M not selected")
@@ -130,7 +132,7 @@ def imaging_map(space, grid, eta, dirs):
         ex = np.exp(1j * eta * np.outer(xs, th[:, 0]))
         ey = np.exp(1j * eta * np.outer(ys, th[:, 1])) / np.sqrt(th.shape[0])
         noise = space.left_vectors[:, space.m:].conj()
-        rows = max(1, _BLOCK_POINTS // xs.size)
+        rows = max(1, _BLOCK_BYTES // (16 * th.shape[0] * xs.size))
         for i in range(0, ys.size, rows):
             f = (ey[i:i + rows, None, :] * ex).reshape(-1, th.shape[0])
             p = (f @ noise).view(np.float64)
@@ -187,9 +189,10 @@ def save_map_csv(imap, path):
     xs = [repr(x) + "," for x in imap.grid.xs().tolist()]
     with open(path, "w", newline="") as f:
         f.write("x,y,value\r\n")
-        for y, row in zip(imap.grid.ys().tolist(), np.asarray(imap.values, dtype=float).tolist()):
+        # one row of Python floats at a time, not the whole map
+        for y, row in zip(imap.grid.ys().tolist(), np.asarray(imap.values, dtype=float)):
             yc = repr(y) + ","
-            f.write("".join([x + yc + repr(v) + "\r\n" for x, v in zip(xs, row)]))
+            f.write("".join([x + yc + repr(v) + "\r\n" for x, v in zip(xs, row.tolist())]))
 
 
 def save_map_pgm(imap, path):

@@ -1,4 +1,5 @@
 import csv
+import os
 import tracemalloc
 
 import numpy as np
@@ -138,7 +139,8 @@ def test_imaging_map_matches_explicit_projector(m):
     sp = select_signal_dim(svd_msr(random_msr(16, 40 + m)), "manual", m=m)
     dirs = make_directions(16, "closed")
     g = ImageGrid(-1.0, 1.0, -2.1, 2.1, 0.01)
-    assert g.ys().size > 2 * music._BLOCK_POINTS // g.xs().size   # three row blocks
+    rows = music._BLOCK_BYTES // (16 * 16 * g.xs().size)
+    assert g.ys().size > 2 * rows   # three or more row blocks
     got = imaging_map(sp, g, 11.0, dirs).values
     ref = _explicit_projector_map(sp, g, 11.0, dirs)
     assert got.shape == ref.shape == (421, 201)
@@ -215,8 +217,22 @@ def test_imaging_map_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the unblocked kernel held an npts x N complex matrix
-    assert peak < npts * 64 * 16 / 4
+    # the map itself plus a few blocks' temporaries, whatever N is
+    assert peak < 2 * npts * 8 + 4 * music._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_imaging_map_is_independent_of_the_block_size(n, monkeypatch):
+    sp = select_signal_dim(svd_msr(random_msr(n, 5)), "manual", m=n // 3)
+    dirs = make_directions(n, "closed")
+    g = ImageGrid(-1.0, 1.0, -1.3, 1.3, 0.02)
+    nx, ny = g.xs().size, g.ys().size
+    maps = []
+    # one grid row, the whole grid, and the default (two or four blocks here)
+    for budget in (16 * n * nx, 16 * n * nx * ny, music._BLOCK_BYTES):
+        monkeypatch.setattr(music, "_BLOCK_BYTES", budget)
+        maps.append(imaging_map(sp, g, 13.0, dirs).values)
+    assert all(np.array_equal(maps[0], m) for m in maps[1:])
 
 
 # ---- imaging ----
@@ -349,6 +365,21 @@ def test_map_csv_export(tmp_path):
     assert lines[0] == "x,y,value"
     assert len(lines) == 7
     assert lines[1].split(",") == ["0.0", "0.0", "0.0"]
+
+
+def test_map_csv_streams_rows():
+    # 1001-point rows; a quarter of a 1001^2 map keeps the traced write near 1 s
+    g = ImageGrid(-2, 2, -0.5, 0.5, 0.004)
+    m = ImageMap(grid=g, values=np.random.default_rng(0).random((251, 1001)), eta=1.0)
+    assert m.values.shape == (g.ys().size, g.xs().size)
+    tracemalloc.start()
+    try:
+        save_map_csv(m, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole map as Python floats is 8 MB; one row of them is 32 kB
+    assert peak < 2e6
 
 
 def test_map_pgm_export(tmp_path):
