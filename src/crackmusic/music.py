@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 EPS_CLAMP = 1e-12
-_BLOCK_BYTES = 1 << 21      # bytes of one imaging block's complex steering vectors
+_BLOCK_BYTES = 1 << 21      # bytes of one block of grid rows, as every map walks them
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,11 @@ class ImageGrid:
     def ys(self):
         return self._axis(self.y0, self.y1)
 
-    def points(self):
-        """All grid points, shape (ny*nx, 2), row-major over (y, x)."""
-        xx, yy = np.meshgrid(self.xs(), self.ys())
-        return np.column_stack([xx.ravel(), yy.ravel()])
+    def row_blocks(self, bytes_per_point):
+        """Slices of whole grid rows, each holding at most _BLOCK_BYTES at
+        bytes_per_point (at least one row): the one block size of every map."""
+        rows = max(1, _BLOCK_BYTES // (bytes_per_point * self.xs().size))
+        return [slice(i, i + rows) for i in range(0, self.ys().size, rows)]
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,8 @@ def imaging_map(space, grid, eta, dirs):
     exp(i eta y sin), so only an (nx, N) and an (ny, N) factor are built.
     |P_noise f| is the norm of f against the N - M trailing left singular
     vectors, taken a block of grid rows at a time.  A block's (points, N)
-    complex steering array holds at most _BLOCK_BYTES (at least one row), so
-    the kernel's temporaries stay a few MB whatever the grid size.
+    complex steering array fits ImageGrid.row_blocks' budget, so the kernel's
+    temporaries stay a few MB whatever the grid size.
     """
     if space.m is None:
         raise ValueError("signal dimension M not selected")
@@ -132,12 +133,11 @@ def imaging_map(space, grid, eta, dirs):
         ex = np.exp(1j * eta * np.outer(xs, th[:, 0]))
         ey = np.exp(1j * eta * np.outer(ys, th[:, 1])) / np.sqrt(th.shape[0])
         noise = space.left_vectors[:, space.m:].conj()
-        rows = max(1, _BLOCK_BYTES // (16 * th.shape[0] * xs.size))
-        for i in range(0, ys.size, rows):
-            f = (ey[i:i + rows, None, :] * ex).reshape(-1, th.shape[0])
+        for rows in grid.row_blocks(16 * th.shape[0]):
+            f = (ey[rows, None, :] * ex).reshape(-1, th.shape[0])
             p = (f @ noise).view(np.float64)
             r = np.sqrt(np.einsum("ij,ij->i", p, p))
-            values[i:i + rows] = 1.0 / np.maximum(r, EPS_CLAMP).reshape(-1, xs.size)
+            values[rows] = 1.0 / np.maximum(r, EPS_CLAMP).reshape(-1, xs.size)
     return ImageMap(grid=grid, values=values, eta=eta)
 
 

@@ -13,12 +13,12 @@ def bessel_j0(x):
     """Bessel function of order zero of the first kind, scipy.special.j0.
 
     Elementwise over an array of any shape; rejects non-finite input.  Even
-    in x by construction.
+    in x because scipy's j0 (Cephes) takes |x| itself, so no copy is made.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("bessel_j0 requires finite input")
-    return _j0(np.abs(arr))
+    return _j0(arr)
 
 
 def direction_average(w, x, dirs):

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .music import ImageGrid, ImageMap
+from .music import ImageMap
 from .special import bessel_j0
 
 _EPS = 1e-12
 EXCLUSION_RADIUS = 0.5     # phase distance around each predicted peak left out of comparisons
-_BLOCK_ELEMS = 1 << 16     # point-centre distances per J0 call
 
 
 @dataclass(frozen=True)
@@ -34,33 +33,35 @@ class TheoryParams:
         object.__setattr__(self, "centers", c)
 
 
-def _values(params, pts):
-    """(1 - sum_m J0(|eta x - k z_m|)^2)^(-1/2) per point, the radicand clamped
-    at _EPS, over blocks of about _BLOCK_ELEMS distances."""
+def _offsets(params, grid):
+    """eta x - k z_m split by axis: an (nx, M) x part and an (ny, M) y part."""
     kz = params.wavenumber * params.centers
-    rows = max(1, _BLOCK_ELEMS // kz.shape[0])
-    rad = np.empty(pts.shape[0])
-    for i in range(0, pts.shape[0], rows):
-        p = params.eta * pts[i:i + rows]
-        j = bessel_j0(np.hypot(p[:, :1] - kz[:, 0], p[:, 1:] - kz[:, 1]))
-        j *= j
-        rad[i:i + rows] = 1.0 - j.sum(axis=1)
-    return 1.0 / np.sqrt(np.maximum(rad, _EPS, out=rad), out=rad)
+    return (params.eta * grid.xs()[:, None] - kz[:, 0],
+            params.eta * grid.ys()[:, None] - kz[:, 1])
 
 
 def theory_map(params, grid):
-    values = _values(params, grid.points()).reshape(grid.ys().size, grid.xs().size)
+    """(1 - sum_m J0(|eta x - k z_m|)^2)^(-1/2) over the grid, the radicand
+    clamped at _EPS, a block of grid rows at a time."""
+    dx, dy = _offsets(params, grid)
+    rad = np.empty((dy.shape[0], dx.shape[0]))
+    for rows in grid.row_blocks(8 * dx.shape[1]):
+        j = bessel_j0(np.hypot(dx, dy[rows, None, :]))
+        j *= j
+        rad[rows] = 1.0 - j.sum(axis=2)
+    values = 1.0 / np.sqrt(np.maximum(rad, _EPS, out=rad), out=rad)
     return ImageMap(grid=grid, values=values, eta=params.eta)
 
 
-def phase_distance(params, pts):
-    """min_m |eta x - k z_m| for each point."""
-    p = params.eta * np.atleast_2d(np.asarray(pts, dtype=float))
-    d = np.full(p.shape[0], np.inf)
-    for zx, zy in params.wavenumber * params.centers:
-        dx, dy = p[:, 0] - zx, p[:, 1] - zy
-        np.minimum(d, np.sqrt(dx * dx + dy * dy), out=d)
-    return d
+def phase_distance(params, grid):
+    """min_m |eta x - k z_m| over the grid, shape (ny, nx), as the root of the
+    least squared distance (sqrt is monotone and correctly rounded)."""
+    dx, dy = _offsets(params, grid)
+    dx, dy = dx * dx, dy * dy
+    d = np.empty((dy.shape[0], dx.shape[0]))
+    for rows in grid.row_blocks(8 * dx.shape[1]):
+        np.min(dx + dy[rows, None, :], axis=2, out=d[rows])
+    return np.sqrt(d, out=d)
 
 
 def compare_maps(a, b, params):
@@ -73,12 +74,11 @@ def compare_maps(a, b, params):
     """
     if a.grid != b.grid:
         raise ValueError("maps must share a grid")
-    pts = a.grid.points()
-    keep = phase_distance(params, pts) > EXCLUSION_RADIUS
+    keep = phase_distance(params, a.grid) > EXCLUSION_RADIUS
     near_clamp = 1.0 / np.sqrt(_EPS) * 1e-3
-    keep &= (a.values.ravel() < near_clamp) & (b.values.ravel() < near_clamp)
-    va = a.values.ravel()[keep]
-    vb = b.values.ravel()[keep]
+    keep &= (a.values < near_clamp) & (b.values < near_clamp)
+    va = a.values[keep]
+    vb = b.values[keep]
     rel = np.abs(va - vb) / np.abs(vb)
     return {
         "max_dev": float(np.max(rel)) if rel.size else 0.0,

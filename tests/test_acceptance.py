@@ -184,17 +184,23 @@ def test_criterion_07_forward_solver_soundness():
 
     obs = np.array([np.cos(0.3), np.sin(0.3)])
     inc2 = np.array([np.cos(2.1), np.sin(2.1)])
-    devs = []
+    # h is the half-length in both models; the deviation is the next term
+    # of the expansion, |C| / |ln(h/2) + C| with C = ln(k/2) + gamma - i pi/2
+    c_next = np.log(k / 2) + np.euler_gamma - 0.5j * np.pi
+    devs, ratios = [], []
     for h in (0.05, 0.01, 0.002):
-        small = SegmentCrack(center=(0.0, 0.0), half_length=h / 2)
+        small = SegmentCrack(center=(0.0, 0.0), half_length=h)
         sc = Scene(cracks=(small,), wavenumber=k)
         ua = asym_farfield(obs, inc2, sc, h)
         ub = farfield_bie(solve_scatter(small, k, inc2, n=32), obs)[0, 0]
         devs.append(abs(ub - ua) / abs(ua))
+        ratios.append(devs[-1] * abs(np.log(h / 2) + c_next) / abs(c_next))
     decreasing = devs[0] > devs[1] > devs[2]
+    off = max(abs(r - 1.0) for r in ratios)
     check(7, f"BIE residual {residual:.1e} < 1e-6, reciprocity {recip:.1e} < 1e-6, "
-             f"asym match trend {devs[0]:.2f} > {devs[1]:.2f} > {devs[2]:.2f}",
-          residual < 1e-6 and recip < 1e-6 and decreasing)
+             f"asym match trend {devs[0]:.2f} > {devs[1]:.2f} > {devs[2]:.2f}, "
+             f"within {off:.1%} <= 5% of the next term",
+          residual < 1e-6 and recip < 1e-6 and decreasing and off <= 0.05)
 
 
 def test_criterion_08_calibration_recovery():

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crackmusic import (ImageGrid, Scene, SegmentCrack, assemble_msr,
-                        find_peaks, imaging_map, make_directions,
-                        select_signal_dim, svd_msr)
+from crackmusic import (ImageGrid, Scene, SegmentCrack, TheoryParams,
+                        assemble_msr, find_peaks, imaging_map,
+                        make_directions, phase_distance, select_signal_dim,
+                        svd_msr, theory_map)
 from crackmusic import music
 from crackmusic.forward_asym import MsrMatrix
 from crackmusic.music import ImageMap, save_map_csv, save_map_pgm, save_spectrum_csv
@@ -128,7 +129,9 @@ def _explicit_projector_map(space, grid, eta, dirs):
     """Reference map: unit steering vectors per point, I - U_M U_M^* as a matrix."""
     u = space.left_vectors[:, :space.m]
     proj = np.eye(space.n) - u @ u.conj().T
-    f = np.exp(1j * eta * (grid.points() @ dirs.vectors().T))
+    xx, yy = np.meshgrid(grid.xs(), grid.ys())
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    f = np.exp(1j * eta * (pts @ dirs.vectors().T))
     f /= np.linalg.norm(f, axis=1, keepdims=True)
     r = np.linalg.norm(f @ proj.T, axis=1)
     return (1.0 / np.maximum(r, 1e-12)).reshape(grid.ys().size, grid.xs().size)
@@ -139,8 +142,7 @@ def test_imaging_map_matches_explicit_projector(m):
     sp = select_signal_dim(svd_msr(random_msr(16, 40 + m)), "manual", m=m)
     dirs = make_directions(16, "closed")
     g = ImageGrid(-1.0, 1.0, -2.1, 2.1, 0.01)
-    rows = music._BLOCK_BYTES // (16 * 16 * g.xs().size)
-    assert g.ys().size > 2 * rows   # three or more row blocks
+    assert len(g.row_blocks(16 * 16)) >= 3
     got = imaging_map(sp, g, 11.0, dirs).values
     ref = _explicit_projector_map(sp, g, 11.0, dirs)
     assert got.shape == ref.shape == (421, 201)
@@ -223,16 +225,20 @@ def test_imaging_map_memory_is_bounded():
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_imaging_map_is_independent_of_the_block_size(n, monkeypatch):
+    # the closed form and the phase distance walk the same row blocks; n
+    # centres make one or two of them at the default budget
     sp = select_signal_dim(svd_msr(random_msr(n, 5)), "manual", m=n // 3)
     dirs = make_directions(n, "closed")
+    params = TheoryParams(wavenumber=K1, eta=13.0,
+                          centers=np.random.default_rng(n).uniform(-1, 1, (n, 2)))
     g = ImageGrid(-1.0, 1.0, -1.3, 1.3, 0.02)
-    nx, ny = g.xs().size, g.ys().size
     maps = []
-    # one grid row, the whole grid, and the default (two or four blocks here)
-    for budget in (16 * n * nx, 16 * n * nx * ny, music._BLOCK_BYTES):
+    # one grid row, the whole grid, and the default (two or four imaging blocks)
+    for budget in (1, 16 * n * g.xs().size * g.ys().size, music._BLOCK_BYTES):
         monkeypatch.setattr(music, "_BLOCK_BYTES", budget)
-        maps.append(imaging_map(sp, g, 13.0, dirs).values)
-    assert all(np.array_equal(maps[0], m) for m in maps[1:])
+        maps.append([imaging_map(sp, g, 13.0, dirs).values,
+                     theory_map(params, g).values, phase_distance(params, g)])
+    assert all(np.array_equal(a, b) for m in maps[1:] for a, b in zip(maps[0], m))
 
 
 # ---- imaging ----
@@ -260,8 +266,9 @@ def test_imaging_near_one_far_from_peaks():
 
 def test_grid_points_never_pass_the_upper_bound():
     assert np.array_equal(ImageGrid(0, 1, 0, 1, 0.6).xs(), [0.0, 0.6])
-    pts = ImageGrid(-1, 1, -1, 1, 0.3).points()
-    assert pts[-1].max() <= 1.0
+    g = ImageGrid(-1, 1, -1, 1, 0.3)
+    xx, yy = np.meshgrid(g.xs(), g.ys())
+    assert xx.max() <= 1.0 and yy.max() <= 1.0
     # 0.3 / 0.1 is 2.9999999999999996 in floating point: still four points
     g = ImageGrid(0, 0.3, 0, 0.3, 0.1)
     assert g.xs().size == g.ys().size == 4

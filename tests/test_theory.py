@@ -7,6 +7,7 @@ from crackmusic import (ImageGrid, TheoryParams, assemble_msr, compare_maps,
                         find_peaks, imaging_map, make_directions,
                         phase_distance, select_signal_dim, svd_msr,
                         theory_map)
+from crackmusic import music
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
 from crackmusic.special import bessel_j0
@@ -87,8 +88,8 @@ def test_multi_center_map_maximal_at_scaled_centers():
         assert value_at(p, z) == pytest.approx(1e6)
     m = theory_map(p, ImageGrid(-2, 2, -2, 2, 0.02))
     assert m.values.max() <= 1e6
-    far = phase_distance(p, m.grid.points()) > 3.0
-    assert np.all(m.values.ravel()[far] < 2.0)
+    far = phase_distance(p, m.grid) > 3.0
+    assert np.all(m.values[far] < 2.0)
 
 
 def test_map_radially_symmetric_single_center():
@@ -101,17 +102,20 @@ def test_map_radially_symmetric_single_center():
 
 def test_phase_distance():
     p = TheoryParams(wavenumber=2.0, eta=4.0, centers=[(1.0, 0.0), (-1.0, 0.0)])
-    d = phase_distance(p, [(0.5, 0.0), (0.0, 0.0)])
-    assert d[0] == pytest.approx(0.0)
-    assert d[1] == pytest.approx(2.0)
+    d = phase_distance(p, ImageGrid(0.0, 0.5, 0.0, 0.0, 0.5))
+    assert d.shape == (1, 2)
+    assert d[0, 1] == pytest.approx(0.0)
+    assert d[0, 0] == pytest.approx(2.0)
 
 
 def test_phase_distance_matches_all_pairs_minimum():
     rng = np.random.default_rng(4)
     p = TheoryParams(wavenumber=3.0, eta=5.0, centers=rng.uniform(-1, 1, (7, 2)))
-    pts = rng.uniform(-2, 2, (500, 2))
-    pairs = np.linalg.norm(5.0 * pts[:, None, :] - 3.0 * p.centers[None, :, :], axis=2)
-    assert np.array_equal(phase_distance(p, pts), pairs.min(axis=1))
+    g = ImageGrid(-2.0, 2.0, -1.5, 2.0, 0.05)
+    xx, yy = np.meshgrid(g.xs(), g.ys())
+    pts = np.stack([xx, yy], axis=-1)
+    pairs = np.linalg.norm(5.0 * pts[:, :, None, :] - 3.0 * p.centers, axis=3)
+    assert np.array_equal(phase_distance(p, g), pairs.min(axis=2))
 
 
 def test_theory_map_memory_is_bounded():
@@ -119,13 +123,32 @@ def test_theory_map_memory_is_bounded():
     scene = scene_from_dict(cfg["scene"])
     assert scene.centers().shape[0] == 82
     p = TheoryParams(wavenumber=scene.wavenumber, eta=20.0, centers=scene.centers())
+    g = ImageGrid(**cfg["grid"])
+    npts = g.xs().size * g.ys().size
     tracemalloc.start()
     try:
-        theory_map(p, ImageGrid(**cfg["grid"]))
+        theory_map(p, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    # the map itself plus a few row blocks' temporaries, whatever M is
+    assert peak < 2 * npts * 8 + 4 * music._BLOCK_BYTES
+
+
+def test_compare_maps_memory_is_bounded():
+    p = params3(15.0)
+    g = ImageGrid(-2, 2, -2, 2, 0.004)
+    npts = g.xs().size * g.ys().size
+    assert npts == 1001 * 1001
+    m = theory_map(p, g)
+    tracemalloc.start()
+    try:
+        compare_maps(m, m, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the compared values and their deviations: a few maps' worth
+    assert peak < 5 * npts * 8
 
 
 # ---- comparison against the numeric pipeline (single crack) ----

@@ -7,8 +7,8 @@ fig4, image/svd from the saved fig1 MSR, calibrate from the saved fig4 MSR,
 and the BIE forward of fig1 and fig4 (their configs are written to OUT too)
 with calibrate from the fig4 BIE MSR.  Every command gets
 --seed 7 --snr-db 25 --grid=-2,2,-2,2,0.04 where it takes them, apart from
-one more compare of fig4 on its own 401x401 grid (step 0.01), whose report
-covers maps that span many of the imaging kernel's row blocks.  The outputs
+one more theory and one more compare of fig4 on its own 401x401 grid (step
+0.01), whose map and report cover maps that span many row blocks.  The outputs
 are deterministic, so two trees made from the same code compare equal with
 `diff -r`, and trees made from two versions of the package (set PYTHONPATH
 to each one's src) show every output byte that changed between them.
@@ -40,6 +40,7 @@ def write_outputs(out):
         for command in ("forward", "image", "svd", "theory", "compare"):
             run(out / name / command, command, "--preset", name)
     run(out / "fig4" / "calibrate", "calibrate", "--preset", "fig4")
+    run(out / "fig4" / "theory_preset_grid", "theory", "--preset", "fig4", flags=())
     run(out / "fig4" / "compare_preset_grid", "compare", "--preset", "fig4", flags=NOISE)
     fig1_msr, fig4_msr = (str(out / n / "forward" / "msr.csv") for n in ("fig1", "fig4"))
     run(out / "msr" / "image", "image", "--preset", "fig1", "--msr", fig1_msr)
