@@ -143,8 +143,10 @@ def _farfield_block(crack, k, th):
 def assemble_msr_bie(scene, dirs):
     """MSR matrix from the full-wave solver.
 
-    Multi-crack scenes use superposition of single-crack solves, consistent
-    with the separation assumption (inter-crack multiple scattering ignored).
+    Multi-crack scenes sum single-crack solves: each crack scatters the
+    incident wave alone, and the waves scattered between cracks are left out.
+    Nothing bounds that error; separation_ok fails on fig4, whose arc and
+    calibration segment are about 0.8 apart at k = 5*pi.
     Each crack's node count is refined (see _farfield_block);
     extra["bie_n"] lists the node count of each crack.
     """

@@ -37,6 +37,61 @@ class SegmentCrack:
         return np.array([self.center])
 
 
+def _not_a_knot(x, y):
+    """Piece coefficients, highest power first, of the cubic spline through the
+    rows of y at increasing knots x, shape (4, len(x) - 1, y.shape[1]), and of its
+    derivative, shape (3, ...). The spline solves scipy's CubicSpline equations:
+    not-a-knot ends, the line through 2 points and the parabola through 3."""
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    if n == 2:
+        s = np.vstack([slope, slope])
+    else:
+        # Tridiagonal system lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        # for the slopes s at the knots.
+        lower = [0.0, *dx[1:], 0.0]
+        diag = [0.0, *(2.0 * (dx[:-1] + dx[1:])), 0.0]
+        upper = [0.0, *dx[:-1], 0.0]
+        rhs = np.empty_like(y)
+        rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+        if n == 3:
+            # the parabola's end slopes average to the chord's slope
+            diag[0] = upper[0] = diag[-1] = lower[-1] = 1.0
+            rhs[0], rhs[-1] = 2.0 * slope[0], 2.0 * slope[-1]
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            diag[0], upper[0], diag[-1], lower[-1] = dx[1], d0, dx[-2], d1
+            rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+            rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        # Elimination without pivoting, in O(n) and with no LAPACK call, so the
+        # bytes do not depend on the BLAS library or its thread count; with
+        # increasing knots every pivot is positive.
+        for i in range(1, n):
+            w = lower[i] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        s = np.empty_like(y)
+        s[-1] = rhs[-1] / diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    h = dx[:, None]
+    t = (s[:-1] + s[1:] - 2.0 * slope) / h
+    c = np.stack([t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]])
+    return c, c[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
+
+
+def _piecewise(x, c, t):
+    """The pieces of coefficients c (highest power first) on the knots x at the
+    parameters t, by Horner's rule; the end pieces extend beyond [x[0], x[-1]]."""
+    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    dt = (t - x[i])[:, None]
+    out = c[0, i]
+    for ci in c[1:]:
+        out = out * dt + ci[i]
+    return out
+
+
 @dataclass(frozen=True)
 class ParametricCrack:
     """Open arc traced by ordered sample points."""
@@ -55,20 +110,21 @@ class ParametricCrack:
 
     @cached_property
     def _spline(self):
-        """Cubic spline through the points in chord-length parameter on [-1, 1],
-        fitted on first use (scipy.interpolate is slow to import)."""
-        from scipy.interpolate import CubicSpline
-
+        """Knots and piece coefficients of the curve and of its derivative: the
+        not-a-knot spline through the points in chord-length parameter on [-1, 1],
+        fitted on first use."""
         s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(self.points, axis=0), axis=1))])
-        spl = CubicSpline(2.0 * s / s[-1] - 1.0, self.points, axis=0)
-        return spl, spl.derivative()
+        knots = 2.0 * s / s[-1] - 1.0
+        return (knots, *_not_a_knot(knots, self.points))
 
     def point(self, t):
         """Crack points at parameters t in [-1, 1], shape (len(t), 2)."""
-        return self._spline[0](np.atleast_1d(t))
+        knots, c, _ = self._spline
+        return _piecewise(knots, c, np.atleast_1d(t))
 
     def deriv(self, t):
-        return self._spline[1](np.atleast_1d(t))
+        knots, _, dc = self._spline
+        return _piecewise(knots, dc, np.atleast_1d(t))
 
     def centers(self):
         """Point targets of the asymptotic model: every sample point."""

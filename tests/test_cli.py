@@ -417,18 +417,23 @@ def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
     assert "Unable to allocate" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
-    # scipy.interpolate costs start-up; only a BIE solve on an arc needs it, so
-    # neither the import nor building the arc scenes of fig3/fig4 may load it
+def test_cli_import_leaves_out_scipy_interpolate(tmp_path):
+    # scipy.interpolate costs start-up and memory and the package never uses it:
+    # an arc's curve is the scene's own spline, so neither building the arc
+    # scenes of fig3/fig4 nor a BIE forward on fig3's arc may load it
+    cfg = {**preset_config("fig3"), "forward": "bie", "directions": {"n": 8}}
+    (tmp_path / "arc.json").write_text(json.dumps(cfg))
     code = ("import sys, crackmusic.cli as cli\n"
             "for argv in (['image', '--preset', 'fig3', '--out', 'o'],\n"
             "             ['calibrate', '--preset', 'fig4', '--out', 'o']):\n"
             "    cli.load_config(cli.build_parser().parse_args(argv))\n"
+            "assert cli.main(['forward', '--config', 'arc.json', '--out', 'bie']) == 0\n"
             "print('scipy.interpolate' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+                         text=True, check=True, cwd=tmp_path)
+    assert out.stdout.splitlines()[-1] == "False"
+    assert json.loads((tmp_path / "bie" / "msr.json").read_text())["provenance"] == "bie"
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):

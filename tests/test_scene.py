@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from crackmusic import (ParametricCrack, Scene, SegmentCrack, incident_field,
-                        make_directions, separation_ok)
-from crackmusic.presets import preset_config
+                        make_directions, scene, separation_ok)
+from crackmusic.presets import calibration_segment_points, extended_arc_points, preset_config
 from crackmusic.scene import scene_from_dict
 
 
@@ -102,20 +102,78 @@ def test_parametric_crack_validation():
 
 
 def test_parametric_crack_fits_its_spline_once(monkeypatch):
-    import scipy.interpolate
-
     fits = []
 
-    class CountingSpline(scipy.interpolate.CubicSpline):
-        def __init__(self, *args, **kwargs):
-            fits.append(1)
-            super().__init__(*args, **kwargs)
+    def counting_fit(x, y):
+        fits.append(1)
+        return fit(x, y)
 
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
+    fit = scene._not_a_knot
+    monkeypatch.setattr(scene, "_not_a_knot", counting_fit)
     arc = ParametricCrack(points=np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 0.0]]))
-    assert fits == []   # not at construction
+    assert "_spline" not in arc.__dict__ and fits == []   # not at construction
     t = np.array([-1.0, 0.0, 1.0])
     assert np.allclose(arc.point(t)[[0, -1]], [[0.0, 0.0], [1.0, 0.0]])
     assert arc.deriv(t).shape == (3, 2)
+    spline = arc.__dict__["_spline"]
     arc.point(t)
-    assert len(fits) == 1
+    arc.deriv(t)
+    assert len(fits) == 1 and arc.__dict__["_spline"] is spline
+
+
+def _spline(x, y, t):
+    """Values and derivatives at t of the spline the scene fits to the rows of y at x."""
+    return tuple(scene._piecewise(x, c, t) for c in scene._not_a_knot(x, y))
+
+
+def test_spline_reproduces_a_cubic_on_uneven_knots():
+    x = np.array([-1.0, -0.83, -0.4, -0.31, 0.2, 0.26, 0.7, 1.0])
+    coef = np.array([[0.3, -1.2], [0.9, 0.4], [-0.7, 0.25], [1.1, -0.6]])  # rows: 1, t, t^2, t^3
+
+    def cubic(t):
+        return np.polynomial.polynomial.polyval(t, coef).T
+
+    def dcubic(t):
+        return np.polynomial.polynomial.polyval(t, coef[1:] * [[1], [2], [3]]).T
+
+    t = np.linspace(-1.0, 1.0, 97) + 0.0031   # off the knots, and past the last one
+    value, deriv = _spline(x, cubic(x), t)
+    assert np.abs(value - cubic(t)).max() <= 1e-14
+    assert np.abs(deriv - dcubic(t)).max() <= 1e-14
+
+
+def test_spline_is_the_line_through_2_points_and_the_parabola_through_3():
+    t = np.linspace(-1.2, 1.2, 25)
+    value, deriv = _spline(np.array([-1.0, 1.0]), np.array([[1.0, 2.0], [3.0, -2.0]]), t)
+    assert np.allclose(value, np.column_stack([2.0 + t, -2.0 * t]), rtol=0, atol=1e-15)
+    assert np.array_equal(deriv, np.broadcast_to([1.0, -2.0], (t.size, 2)))
+    x = np.array([-1.0, 0.4, 1.0])
+    coef = np.array([[0.5, -1.0], [-0.3, 2.0], [1.5, 0.7]])   # rows: 1, t, t^2
+    value, deriv = _spline(x, np.polynomial.polynomial.polyval(x, coef).T, t)
+    assert np.abs(value - np.polynomial.polynomial.polyval(t, coef).T).max() <= 1e-14
+    assert np.abs(deriv - np.polynomial.polynomial.polyval(t, coef[1:] * [[1], [2]]).T).max() <= 1e-14
+
+
+@pytest.mark.parametrize("s", [calibration_segment_points()[:, 0],
+                               np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, 41))])
+def test_straight_arc_with_uneven_spacing_is_its_line(s):
+    arc = ParametricCrack(points=np.column_stack([s, np.full(s.size, -1.0)]))
+    t = np.linspace(-1.0, 1.0, 301)
+    assert np.abs(arc.point(t) - np.column_stack([t, np.full(t.size, -1.0)])).max() <= 1e-14
+    # the chord-length knots round by a few ulps, which a piece's slope divides
+    # by the piece's length
+    assert np.abs(arc.deriv(t) - [1.0, 0.0]).max() <= 1e-15 / np.diff(s).min()
+
+
+@pytest.mark.parametrize("n_points", [4, 41, 201])
+def test_arc_curve_matches_scipy_cubic_spline(n_points):
+    from scipy.interpolate import CubicSpline   # the oracle; the package does not use it
+
+    points = extended_arc_points(n_points)
+    chord = np.r_[0.0, np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))]
+    oracle = CubicSpline(2.0 * chord / chord[-1] - 1.0, points, axis=0)
+    arc = ParametricCrack(points=points)
+    for n in (64, 128, 256):   # the node sets of fig4's BIE refinement on the arc
+        t = np.cos((2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n))
+        for got, want in ((arc.point(t), oracle(t)), (arc.deriv(t), oracle(t, 1))):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
