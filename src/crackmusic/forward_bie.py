@@ -27,7 +27,6 @@ sqrt(8 pi k) e^{-i pi/4} and a sign).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hankel1
 
 from .forward_asym import MsrMatrix
 from .scene import incident_field
@@ -68,6 +67,7 @@ def _operator_rows(crack, k, tau, nodes):
     (pi/n) [M - J o L / (2 pi)]: J = J0(k r), L the exact log weights of the
     Chebyshev interpolant, M = Phi + J ln|tau - s| / (2 pi), diagonal by its limit.
     """
+    from scipy.special import hankel1   # here, not at the top: only BIE runs pay its import
     n = nodes.size
     r = np.linalg.norm(crack.point(tau)[:, None, :] - crack.point(nodes)[None, :, :], axis=2)
     dt = np.abs(tau[:, None] - nodes[None, :])

@@ -6,7 +6,6 @@ the imaging functional to Bessel asymptotics, so both sides are provided here.
 """
 
 import numpy as np
-from scipy.special import j0 as _j0
 
 
 def bessel_j0(x):
@@ -18,7 +17,8 @@ def bessel_j0(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("bessel_j0 requires finite input")
-    return _j0(arr)
+    from scipy.special import j0   # here, not at the top: only J0 runs pay its import
+    return j0(arr)
 
 
 def direction_average(w, x, dirs):

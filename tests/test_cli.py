@@ -436,6 +436,50 @@ def test_cli_import_leaves_out_scipy_interpolate(tmp_path):
     assert json.loads((tmp_path / "bie" / "msr.json").read_text())["provenance"] == "bie"
 
 
+def _python(code, cwd):
+    """stdout of `python -c code` in a fresh interpreter that imports this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, cwd=cwd).stdout
+
+
+def test_runs_without_a_bessel_function_leave_out_scipy_special(tmp_path):
+    # scipy.special is about 0.25 s and 25 MB of start-up: only J0 (theory maps)
+    # and H0 (BIE solves) need it, so the package, the CLI and every run that
+    # evaluates neither, --msr runs on BIE data included, must not load it
+    (tmp_path / "bie.json").write_text(json.dumps({**preset_config("fig4"), "forward": "bie"}))
+    assert run("forward", "--config", str(tmp_path / "bie.json"),
+               "--out", str(tmp_path / "bie")) == 0
+    coarse = "--grid=-2,2,-2,2,0.04"
+    runs = [["image", "--preset", "fig3", coarse], ["svd", "--preset", "fig1"],
+            ["calibrate", "--preset", "fig4", coarse], ["forward", "--preset", "fig4"],
+            *([command, "--config", "bie.json", "--msr", "bie/msr.csv", coarse]
+              for command in ("image", "calibrate")),
+            ["svd", "--config", "bie.json", "--msr", "bie/msr.csv"]]
+    code = ("import sys, crackmusic, crackmusic.cli as cli\n"
+            "loaded = ['scipy.special' in sys.modules]\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main([*argv, '--out', 'o']) == 0, argv\n"
+            "    loaded.append('scipy.special' in sys.modules)\n"
+            "print(loaded)\n")
+    assert _python(code, tmp_path).splitlines()[-1] == repr([False] * (1 + len(runs)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--preset", "fig1"],
+    ["compare", "--preset", "fig1"],
+    ["forward", "--config", "bie.json"],
+], ids=["theory", "compare", "bie-forward"])
+def test_runs_with_a_bessel_function_load_scipy_special_in_set_up(tmp_path, argv):
+    # the other side of the predicate: the import is paid in load_config,
+    # never inside the first traced stage that evaluates J0 or H0
+    (tmp_path / "bie.json").write_text(json.dumps({**preset_config("fig3"), "forward": "bie"}))
+    code = ("import sys, crackmusic.cli as cli\n"
+            f"cli.load_config(cli.build_parser().parse_args({[*argv, '--out', 'o']!r}))\n"
+            "print('scipy.special' in sys.modules)\n")
+    assert _python(code, tmp_path).split() == ["True"]
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     # the first sh block of README.md holding crackmusic commands, run in order
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -457,6 +501,14 @@ def test_preset_matches_the_schema_file(name):
     schema = json.loads((Path(crackmusic.__file__).parent / "schemas"
                          / "runconfig.schema.json").read_text())
     jsonschema.validate(preset_config(name), schema)
+
+
+def test_schema_file_is_a_valid_schema():
+    # load_config validates against the schema without checking the schema
+    # itself on every run; this is that check, made once
+    schema = json.loads((Path(crackmusic.__file__).parent / "schemas"
+                         / "runconfig.schema.json").read_text())
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_config_roundtrip(tmp_path):
