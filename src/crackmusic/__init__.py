@@ -8,14 +8,14 @@ from .music import (ImageGrid, ImageMap, SignalSpace, find_peaks, imaging_map,
 from .noise import add_awgn
 from .scene import (DirectionSet, ParametricCrack, Scene, SegmentCrack,
                     incident_field, make_directions, separation_ok)
-from .special import bessel_j0, direction_average
+from .special import bessel_j0
 from .theory import TheoryParams, compare_maps, phase_distance, theory_map
 
 __all__ = [
     "ArcDensity", "CalibrationPlan", "DirectionSet", "ImageGrid", "ImageMap",
     "MsrMatrix", "ParametricCrack", "Scene", "SegmentCrack", "SignalSpace",
     "TheoryParams", "add_awgn", "assemble_msr", "assemble_msr_bie", "bessel_j0",
-    "calibrate_and_image", "compare_maps", "direction_average", "estimate_k",
+    "calibrate_and_image", "compare_maps", "estimate_k",
     "farfield_bie", "find_peaks", "imaging_map", "incident_field", "load_msr",
     "make_directions", "save_msr", "select_signal_dim", "separation_ok",
     "solve_scatter", "svd_msr", "phase_distance", "theory_map",

@@ -12,22 +12,32 @@ import importlib.resources
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
 
 from . import music, presets, theory
 from .calibrate import CalibrationPlan, calibrate_and_image
-from .forward_asym import assemble_msr, load_msr, save_msr
+from .forward_asym import MsrMatrix, assemble_msr, load_msr, save_msr
 from .forward_bie import assemble_msr_bie
 from .music import ImageGrid
 from .noise import add_awgn
-from .scene import make_directions, scene_from_dict
+from .scene import Scene, make_directions, scene_from_dict
 from .theory import TheoryParams
 
 
 class ConfigError(Exception):
     pass
+
+
+class Run(NamedTuple):
+    """A resolved run: every input of the command, read and checked before --out exists."""
+    cfg: dict                        # the resolved config, defaults and flags applied
+    scene: Scene
+    grid: ImageGrid
+    plan: CalibrationPlan | None     # calibrate only
+    msr: MsrMatrix | None            # the --msr data, checked against the config
 
 
 def _load_schema():
@@ -55,30 +65,42 @@ def load_config(args):
     for where, v in _non_finite(cfg):
         if not (where == "snr_db" and v == np.inf):   # +inf dB means no noise
             raise ConfigError(f"config value at {where} must be finite, not {v}")
-    g = cfg["grid"]
-    if g["x1"] < g["x0"] or g["y1"] < g["y0"]:
-        raise ConfigError(f"grid ranges must be nonempty (x0 <= x1, y0 <= y1): {g}")
     first = {}
     for eta in cfg["etas"]:
         tag = _tag(eta)
         if tag in first:
             raise ConfigError(f"etas {first[tag]!r} and {eta!r} share the file name tag eta{tag}")
         first[tag] = eta
-    if args.command == "calibrate" and "calibration" not in cfg:
-        raise ConfigError("calibrate requires a 'calibration' config section")
+    plan = msr = None
+    if args.command == "calibrate":
+        if "calibration" not in cfg:
+            raise ConfigError("calibrate requires a 'calibration' config section")
+        plan = _checked("calibration", CalibrationPlan, **cfg["calibration"])
+    scene = _checked("scene", scene_from_dict, cfg["scene"])
+    grid = _checked("grid", ImageGrid, **cfg["grid"])
+    if args.msr:   # the data must match the config's N and wavenumber, with closed directions
+        csv_path = Path(args.msr)
+        sidecar = csv_path.with_suffix(".json")
+        msr = _checked(f"MSR file {csv_path}", load_msr, csv_path, sidecar)
+        for key, got, where, want in (
+                ("n", msr.n, "directions.n", cfg["directions"]["n"]),
+                ("wavenumber", msr.wavenumber, "scene.wavenumber", cfg["scene"]["wavenumber"]),
+                ("direction_mode", msr.directions.mode, "direction mode", "closed")):
+            if got != want:
+                raise ConfigError(f"MSR file {csv_path}: sidecar {sidecar} has {key} = {got!r}, "
+                                  f"but the config's {where} is {want!r}")
+    if args.command in ("theory", "compare") or (cfg["forward"] == "bie" and msr is None):
+        # J0 (theory maps) or H0 (a BIE solve of the run's own MSR): ~0.25 s of set-up
+        import scipy.special   # noqa: F401  not inside the first stage that evaluates one
+    return Run(cfg, scene, grid, plan, msr)
+
+
+def _checked(section, build, *args, **kwargs):
+    """build(*args, **kwargs); its ValueError or OSError is a ConfigError naming section."""
     try:
-        scene_from_dict(cfg["scene"])
-    except ValueError as e:
-        raise ConfigError(f"config scene: {e}") from e
-    if _evaluates_bessel(args, cfg):
-        import scipy.special   # noqa: F401  its ~0.25 s is set-up, not the first stage's time
-    return cfg
-
-
-def _evaluates_bessel(args, cfg):
-    """Whether the run will evaluate J0 (theory maps) or H0 (a BIE solve of its own MSR)."""
-    return args.command in ("theory", "compare") or (
-        cfg["forward"] == "bie" and not getattr(args, "msr", None))
+        return build(*args, **kwargs)
+    except (ValueError, OSError) as e:
+        raise ConfigError(f"{section}: {e}") from e
 
 
 def _tag(eta):
@@ -118,47 +140,23 @@ def _parse_signal_dim(spec):
     raise argparse.ArgumentTypeError(f"{spec!r} is not manual:M, log_gap or threshold:T")
 
 
-def _theory_params(scene, eta):
-    return TheoryParams(wavenumber=scene.wavenumber, eta=eta, centers=scene.centers())
-
-
-def compute_msr(cfg):
-    scene = scene_from_dict(cfg["scene"])
+def compute_msr(run):
+    cfg = run.cfg
     dirs = make_directions(cfg["directions"]["n"])
     if cfg["forward"] == "asym":
-        msr = assemble_msr(scene, cfg["h"], dirs)
+        msr = assemble_msr(run.scene, cfg["h"], dirs)
     else:
-        msr = assemble_msr_bie(scene, dirs)
+        msr = assemble_msr_bie(run.scene, dirs)
     if "snr_db" in cfg:
         msr = add_awgn(msr, cfg["snr_db"], cfg.get("seed", 0))
     return msr
 
 
-def _msr_and_space(args, cfg):
-    """The run's MSR data and its selected signal space: the one place M is chosen.
-
-    --msr data must have the config's direction count, wavenumber and closed
-    directions.
-    """
-    if not args.msr:
-        msr = compute_msr(cfg)
-    else:
-        csv_path = Path(args.msr)
-        sidecar = csv_path.with_suffix(".json")
-        try:
-            msr = load_msr(csv_path, sidecar)
-        except KeyError as e:
-            raise ConfigError(f"MSR file {csv_path}: sidecar {sidecar} lacks the key {e}") from e
-        except ValueError as e:
-            raise ConfigError(f"MSR file {csv_path}: {e}") from e
-        for key, got, where, want in (
-                ("n", msr.n, "directions.n", cfg["directions"]["n"]),
-                ("wavenumber", msr.wavenumber, "scene.wavenumber", cfg["scene"]["wavenumber"]),
-                ("direction_mode", msr.directions.mode, "direction mode", "closed")):
-            if got != want:
-                raise ConfigError(f"MSR file {csv_path}: sidecar {sidecar} has {key} = {got!r}, "
-                                  f"but the config's {where} is {want!r}")
-    space = music.select_signal_dim(music.svd_msr(msr), **cfg["signal_dim"])
+def _msr_and_space(run):
+    """The run's MSR data (--msr or computed) and its selected signal space:
+    the one place M is chosen."""
+    msr = compute_msr(run) if run.msr is None else run.msr
+    space = music.select_signal_dim(music.svd_msr(msr), **run.cfg["signal_dim"])
     if space.m == 0:
         print("warning: M=0, every imaging map is flat", file=sys.stderr)
     return msr, space
@@ -169,18 +167,17 @@ def _write_json(obj, path):
         json.dump(obj, f, indent=2, sort_keys=True)
 
 
-def cmd_forward(cfg, args, out):
-    msr = compute_msr(cfg)
+def cmd_forward(run, out):
+    msr = compute_msr(run)
     save_msr(msr, out / "msr.csv", out / "msr.json")
     print(out / "msr.csv")
     return 0
 
 
-def cmd_image(cfg, args, out):
-    msr, space = _msr_and_space(args, cfg)
-    grid = ImageGrid(**cfg["grid"])
-    for eta in cfg["etas"]:
-        imap = music.imaging_map(space, grid, eta, msr.directions)
+def cmd_image(run, out):
+    msr, space = _msr_and_space(run)
+    for eta in run.cfg["etas"]:
+        imap = music.imaging_map(space, run.grid, eta, msr.directions)
         tag = _tag(eta)
         music.save_map_csv(imap, out / f"map_eta{tag}.csv")
         music.save_map_pgm(imap, out / f"map_eta{tag}.pgm")
@@ -193,21 +190,20 @@ def cmd_image(cfg, args, out):
     return 0
 
 
-def cmd_svd(cfg, args, out):
-    msr, space = _msr_and_space(args, cfg)
+def cmd_svd(run, out):
+    msr, space = _msr_and_space(run)
     music.save_spectrum_csv(space, out / "spectrum.csv")
     _write_json({"m": space.m, "ambiguous": space.ambiguous,
-                 "method": cfg["signal_dim"]["method"]},
+                 "method": run.cfg["signal_dim"]["method"]},
                 out / "selection.json")
     print(out / "spectrum.csv")
     return 0
 
 
-def cmd_theory(cfg, args, out):
-    scene = scene_from_dict(cfg["scene"])
-    grid = ImageGrid(**cfg["grid"])
-    for eta in cfg["etas"]:
-        tmap = theory.theory_map(_theory_params(scene, eta), grid)
+def cmd_theory(run, out):
+    for eta in run.cfg["etas"]:
+        params = TheoryParams(wavenumber=run.scene.wavenumber, eta=eta, centers=run.scene.centers())
+        tmap = theory.theory_map(params, run.grid)
         tag = _tag(eta)
         music.save_map_csv(tmap, out / f"theory_eta{tag}.csv")
         music.save_map_pgm(tmap, out / f"theory_eta{tag}.pgm")
@@ -215,14 +211,12 @@ def cmd_theory(cfg, args, out):
     return 0
 
 
-def cmd_compare(cfg, args, out):
-    scene = scene_from_dict(cfg["scene"])
-    msr, space = _msr_and_space(args, cfg)
-    grid = ImageGrid(**cfg["grid"])
-    for eta in cfg["etas"]:
-        imap = music.imaging_map(space, grid, eta, msr.directions)
-        params = _theory_params(scene, eta)
-        tmap = theory.theory_map(params, grid)
+def cmd_compare(run, out):
+    msr, space = _msr_and_space(run)
+    for eta in run.cfg["etas"]:
+        imap = music.imaging_map(space, run.grid, eta, msr.directions)
+        params = TheoryParams(wavenumber=run.scene.wavenumber, eta=eta, centers=run.scene.centers())
+        tmap = theory.theory_map(params, run.grid)
         report = theory.compare_maps(imap, tmap, params)
         report["eta"] = eta
         _write_json(report, out / f"compare_eta{_tag(eta)}.json")
@@ -230,10 +224,9 @@ def cmd_compare(cfg, args, out):
     return 0
 
 
-def cmd_calibrate(cfg, args, out):
-    msr, space = _msr_and_space(args, cfg)
-    k_hat, remap, info = calibrate_and_image(msr, CalibrationPlan(**cfg["calibration"]),
-                                             ImageGrid(**cfg["grid"]), space)
+def cmd_calibrate(run, out):
+    msr, space = _msr_and_space(run)
+    k_hat, remap, info = calibrate_and_image(msr, run.plan, run.grid, space)
     _write_json(info, out / "calibration.json")
     music.save_map_csv(remap, out / "map_khat.csv")
     music.save_map_pgm(remap, out / "map_khat.pgm")
@@ -250,7 +243,8 @@ _OVERRIDES = {   # flag -> add_argument keywords; dest is the config key the fla
     "--signal-dim": {"dest": "signal_dim", "type": _parse_signal_dim,
                      "help": "manual:M | log_gap | threshold:T"},
 }
-_FLAGS = {"--msr": {"help": "existing MSR CSV file (sidecar: same name .json)"}, **_OVERRIDES}
+_FLAGS = {"--msr": {"dest": "msr", "help": "existing MSR CSV file (sidecar: same name .json)"},
+          **_OVERRIDES}
 _COMMANDS = {    # each command and the flags it reads; argparse rejects the others
     "forward": (cmd_forward, "--snr-db --seed"),
     "image": (cmd_image, " ".join(_FLAGS)),
@@ -274,17 +268,17 @@ def build_parser():
         sp.add_argument("--out", required=True, help="output directory")
         for flag in flags.split():
             sp.add_argument(flag, **_FLAGS[flag])
-        sp.set_defaults(fn=fn, **{o["dest"]: None for o in _OVERRIDES.values()})
+        sp.set_defaults(fn=fn, **{o["dest"]: None for o in _FLAGS.values()})
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
+        run = load_config(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return args.fn(cfg, args, out)
+        return args.fn(run, out)
     except (ConfigError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

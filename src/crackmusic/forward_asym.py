@@ -91,6 +91,8 @@ def load_msr(csv_path, sidecar_path):
     if not isinstance(meta, dict):
         raise ValueError(f"sidecar {sidecar_path} is a JSON {type(meta).__name__}, not an object")
     for key, (ok, want) in _SIDECAR.items():
+        if key not in meta:
+            raise ValueError(f"sidecar {sidecar_path} lacks the key {key!r}")
         if not ok(meta[key]):
             raise ValueError(f"sidecar {sidecar_path}: {key!r} must be {want}, not {meta[key]!r}")
     n = meta["n"]

@@ -13,14 +13,14 @@ from conftest import record_criterion
 from crackmusic import (CalibrationPlan, ImageGrid, Scene, SegmentCrack,
                         TheoryParams, add_awgn, assemble_msr,
                         assemble_msr_bie, bessel_j0, calibrate_and_image,
-                        compare_maps, direction_average, farfield_bie,
-                        find_peaks, imaging_map, make_directions,
-                        select_signal_dim, solve_scatter, svd_msr, theory_map)
+                        compare_maps, farfield_bie, find_peaks, imaging_map,
+                        make_directions, select_signal_dim, solve_scatter,
+                        svd_msr, theory_map)
 from crackmusic.cli import main as cli_main
 from crackmusic.forward_bie import boundary_field
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
-from reference import asym_farfield
+from reference import asym_farfield, direction_average
 
 K_HALF = 2 * np.pi / 0.5
 K_THIRD = 2 * np.pi / 0.3

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import crackmusic
-from crackmusic import load_msr, theory
+from crackmusic import cli, load_msr, theory
 from crackmusic.cli import main
 from crackmusic.presets import PRESET_NAMES, preset_config
 
@@ -279,16 +279,19 @@ def test_config_that_is_not_an_object_is_exit_2(tmp_path, capsys, flags):
     assert "JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["config", "out"])
+@pytest.mark.parametrize("where", ["config", "out", "msr"])
 def test_os_error_on_a_given_path_is_exit_2(tmp_path, capsys, where):
-    # a directory given as the config file, an existing file given as --out
-    cfg, out = write_cfg(tmp_path), str(tmp_path / "o")
-    if where == "config":
-        cfg = str(tmp_path)
-    else:
+    # a directory given as the config file, an existing file given as --out,
+    # an --msr file that does not exist: the message names the path as given
+    given = {"config": str(tmp_path), "out": str(tmp_path / "o"),
+             "msr": str(tmp_path / "nonexist.csv")}[where]
+    cfg = given if where == "config" else write_cfg(tmp_path)
+    msr = ("--msr", given) if where == "msr" else ()
+    if where == "out":
         (tmp_path / "o").write_text("")
-    assert run("svd", "--config", cfg, "--out", out) == 2
-    assert (cfg if where == "config" else out) in capsys.readouterr().err
+    assert run("svd", "--config", cfg, *msr, "--out", str(tmp_path / "o")) == 2
+    assert given in capsys.readouterr().err
+    assert where == "out" or not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -374,6 +377,7 @@ def test_bad_msr_file_is_exit_2(tmp_path, capsys, edit, problem):
                "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert str(fwd / "msr.csv") in err and problem in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, data, key, got, want", [
@@ -390,6 +394,7 @@ def test_msr_that_does_not_match_the_config_is_exit_2(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert str(fwd / "msr.csv") in err
     assert f"{key} = {got!r}" in err and f"is {want!r}" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["image", "theory", "compare"])
@@ -401,6 +406,20 @@ def test_etas_with_one_file_name_tag_are_exit_2(tmp_path, capsys, command):
                "--out", str(out), *GRID_COARSE) == 2
     assert "etas 10.0 and 10.000001 share the file name tag eta10" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "image", "svd", "theory", "compare", "calibrate"])
+def test_a_run_builds_its_scene_and_grid_once(tmp_path, monkeypatch, command):
+    # load_config resolves the run; the commands compute from it and never parse again
+    calls = dict.fromkeys(["scene_from_dict", "ImageGrid"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _build=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    grid = () if command in ("forward", "svd") else ("--grid=-2,2,-2,2,0.1",)
+    assert run(command, "--preset", "fig4", *grid, "--out", str(tmp_path / "o")) == 0
+    assert calls == {"scene_from_dict": 1, "ImageGrid": 1}
 
 
 def test_numeric_failure_is_exit_3(tmp_path):

@@ -1,32 +1,29 @@
 """Every public function and method of the package is reached from the CLI.
 
-Runs every command on the presets, on coarse grids, with the BIE forward of
-fig1 and fig4 and the --msr paths, under sys.setprofile, and lists the public
-functions and methods defined in crackmusic that no call reached.  A function
-that no run reaches is deleted, or it is named in UNREACHED with the reason
-it stays.
+Writes the preset output set (tools/preset_outputs.py: every command on the
+presets, the --msr paths and the BIE forward of fig1 and fig4) under
+sys.setprofile, and lists the public functions and methods defined in
+crackmusic that no call reached.  A function that no run reaches is deleted,
+or it is named in UNREACHED with the reason it stays.
 """
 
 import importlib
 import inspect
-import itertools
-import json
 import pkgutil
+import runpy
 import sys
+from pathlib import Path
 
 import crackmusic
-from crackmusic.cli import main
-from crackmusic.presets import PRESET_NAMES, preset_config
+
+PRESET_OUTPUTS = Path(__file__).resolve().parents[1] / "tools" / "preset_outputs.py"
 
 _ASSUMPTION_CHECK = "a modelling-assumption check: ROADMAP item 3 wires it in"
 UNREACHED = {
     "forward_bie.boundary_field": "the BIE exactness check (ROADMAP item 4)",
-    "special.direction_average": "acceptance criterion 1 is built on it",
     "scene.separation_ok": _ASSUMPTION_CHECK,
     "scene.SegmentCrack.is_small_for": _ASSUMPTION_CHECK,
 }
-NOISE = ("--seed=7", "--snr-db=25")
-GRID = ("--grid=-2,2,-2,2,0.1",)
 
 
 def _public_code():
@@ -50,30 +47,6 @@ def _public_code():
     return found
 
 
-def _run_everything(out):
-    runs = itertools.count()
-
-    def run(command, *argv):
-        assert main([command, *argv, "--out", str(out / f"run{next(runs)}")]) == 0
-
-    for name in PRESET_NAMES:
-        run("forward", "--preset", name, *NOISE)
-        run("image", "--preset", name, *NOISE, *GRID)
-        run("svd", "--preset", name)
-        run("theory", "--preset", name, *GRID)
-        run("compare", "--preset", name, *GRID)
-    run("calibrate", "--preset", "fig4", *GRID)
-    for name in ("fig1", "fig4"):
-        cfg = out / f"bie_{name}.json"
-        cfg.write_text(json.dumps({**preset_config(name), "forward": "bie"}))
-        assert main(["forward", "--config", str(cfg), "--out", str(out / name)]) == 0
-    fig1, fig4 = (str(out / name / "msr.csv") for name in ("fig1", "fig4"))
-    run("image", "--preset", "fig1", "--msr", fig1, *GRID)
-    run("svd", "--preset", "fig1", "--msr", fig1)
-    run("compare", "--preset", "fig1", "--msr", fig1, *GRID)
-    run("calibrate", "--preset", "fig4", "--msr", fig4, *GRID)
-
-
 def test_every_public_function_is_reached_from_the_cli(tmp_path):
     called = set()
 
@@ -83,7 +56,7 @@ def test_every_public_function_is_reached_from_the_cli(tmp_path):
 
     sys.setprofile(profile)
     try:
-        _run_everything(tmp_path)
+        runpy.run_path(str(PRESET_OUTPUTS))["write_outputs"](tmp_path)
     finally:
         sys.setprofile(None)
     public = _public_code()

