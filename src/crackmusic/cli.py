@@ -71,6 +71,9 @@ def load_config(args):
         if tag in first:
             raise ConfigError(f"etas {first[tag]!r} and {eta!r} share the file name tag eta{tag}")
         first[tag] = eta
+    m, n = cfg["signal_dim"].get("m", 0), cfg["directions"]["n"]
+    if args.command in ("image", "svd", "compare", "calibrate") and m > n:   # they choose M
+        raise ConfigError(f"signal_dim/m is {m}, but M can be at most directions.n = {n}")
     plan = msr = None
     if args.command == "calibrate":
         if "calibration" not in cfg:
@@ -89,9 +92,10 @@ def load_config(args):
             if got != want:
                 raise ConfigError(f"MSR file {csv_path}: sidecar {sidecar} has {key} = {got!r}, "
                                   f"but the config's {where} is {want!r}")
-    if args.command in ("theory", "compare") or (cfg["forward"] == "bie" and msr is None):
-        # J0 (theory maps) or H0 (a BIE solve of the run's own MSR): ~0.25 s of set-up
-        import scipy.special   # noqa: F401  not inside the first stage that evaluates one
+    if args.command in ("theory", "compare"):
+        # scipy's J0 for the theory maps: ~0.25 s of set-up, paid here and not inside
+        # the first stage that evaluates it (a BIE solve's H0 is numpy, special.hankel0)
+        import scipy.special   # noqa: F401
     return Run(cfg, scene, grid, plan, msr)
 
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .forward_asym import MsrMatrix
 from .scene import incident_field
+from .special import hankel0
 
 _EULER_GAMMA = 0.5772156649015329
 _N_START, _N_MAX, _TOL = 64, 4096, 1e-6   # auto node-count refinement
@@ -67,14 +68,13 @@ def _operator_rows(crack, k, tau, nodes):
     (pi/n) [M - J o L / (2 pi)]: J = J0(k r), L the exact log weights of the
     Chebyshev interpolant, M = Phi + J ln|tau - s| / (2 pi), diagonal by its limit.
     """
-    from scipy.special import hankel1   # here, not at the top: only BIE runs pay its import
     n = nodes.size
     r = np.linalg.norm(crack.point(tau)[:, None, :] - crack.point(nodes)[None, :, :], axis=2)
     dt = np.abs(tau[:, None] - nodes[None, :])
     j0 = np.ones(r.shape)
     m = np.empty(r.shape, dtype=np.complex128)
     off = r > 0
-    h = hankel1(0, k * r[off])
+    h = hankel0(k * r[off])
     j0[off] = h.real
     m[off] = 0.25j * h + h.real * np.log(dt[off]) / (2.0 * np.pi)
     if np.any(~off):

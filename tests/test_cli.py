@@ -209,8 +209,9 @@ def test_schema_violation_is_exit_2(tmp_path):
     ("--grid=a,1,-1,1,0.1", True), ("--grid=1,0,-1,1,0.1", False),
     ("--snr-db=nan", False), ("--eta=inf", False), ("--eta=nan", False),
     ("--signal-dim=threshold:nan", False), ("--grid=-1,1,-1,1,nan", False),
+    ("--signal-dim=manual:40", False),
 ], ids=["banana", "manual-abc", "grid-abc", "grid-reversed",
-        "snr-nan", "eta-inf", "eta-nan", "threshold-nan", "grid-nan"])
+        "snr-nan", "eta-inf", "eta-nan", "threshold-nan", "grid-nan", "manual-above-n"])
 def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
     # a value the flag's parser rejects is an argparse error; the rest fail in load_config
     argv = ("image", "--preset", "fig1", "--out", str(tmp_path / "o"), flag)
@@ -258,6 +259,17 @@ def test_schema_violation_names_the_field(tmp_path, capsys, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["image", "svd", "compare", "calibrate"])
+def test_manual_above_n_in_a_config_file_is_exit_2(tmp_path, capsys, command):
+    # every command that chooses M rejects M > N before --out exists
+    cfg = {**preset_config("fig4"), "signal_dim": {"method": "manual", "m": 33}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run(command, "--config", str(p), "--out", str(tmp_path / "o")) == 2
+    assert "signal_dim/m is 33, but M can be at most directions.n = 32" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -422,10 +434,13 @@ def test_a_run_builds_its_scene_and_grid_once(tmp_path, monkeypatch, command):
     assert calls == {"scene_from_dict": 1, "ImageGrid": 1}
 
 
-def test_numeric_failure_is_exit_3(tmp_path):
-    # manual M exceeding the matrix size fails inside the numerics
-    assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "o"),
-               "--signal-dim", "manual:99") == 3
+def test_numeric_failure_is_exit_3(tmp_path, monkeypatch, capsys):
+    # an SVD that does not converge fails inside the numerics, after --out exists
+    def no_convergence(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "o")) == 3
+    assert "numeric failure: SVD of 16x16 MSR matrix failed" in capsys.readouterr().err
 
 
 def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
@@ -463,36 +478,37 @@ def _python(code, cwd):
 
 
 def test_runs_without_a_bessel_function_leave_out_scipy_special(tmp_path):
-    # scipy.special is about 0.25 s and 25 MB of start-up: only J0 (theory maps)
-    # and H0 (BIE solves) need it, so the package, the CLI and every run that
-    # evaluates neither, --msr runs on BIE data included, must not load it
+    # scipy.special is about 0.25 s and 25 MB of start-up: only scipy's J0
+    # (theory maps) needs it, and a BIE solve's H0 is special.hankel0, so the
+    # package, the CLI, a BIE forward and every run on its --msr data must load
+    # no scipy module at all
     (tmp_path / "bie.json").write_text(json.dumps({**preset_config("fig4"), "forward": "bie"}))
-    assert run("forward", "--config", str(tmp_path / "bie.json"),
-               "--out", str(tmp_path / "bie")) == 0
     coarse = "--grid=-2,2,-2,2,0.04"
-    runs = [["image", "--preset", "fig3", coarse], ["svd", "--preset", "fig1"],
+    runs = [["forward", "--config", "bie.json", "--out", "bie"],
+            ["image", "--preset", "fig3", coarse], ["svd", "--preset", "fig1"],
             ["calibrate", "--preset", "fig4", coarse], ["forward", "--preset", "fig4"],
             *([command, "--config", "bie.json", "--msr", "bie/msr.csv", coarse]
               for command in ("image", "calibrate")),
             ["svd", "--config", "bie.json", "--msr", "bie/msr.csv"]]
     code = ("import sys, crackmusic, crackmusic.cli as cli\n"
-            "loaded = ['scipy.special' in sys.modules]\n"
+            "def scipy_loaded():\n"
+            "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "loaded = [scipy_loaded()]\n"
             f"for argv in {runs!r}:\n"
-            "    assert cli.main([*argv, '--out', 'o']) == 0, argv\n"
-            "    loaded.append('scipy.special' in sys.modules)\n"
+            "    assert cli.main(argv if '--out' in argv else [*argv, '--out', 'o']) == 0, argv\n"
+            "    loaded.append(scipy_loaded())\n"
             "print(loaded)\n")
     assert _python(code, tmp_path).splitlines()[-1] == repr([False] * (1 + len(runs)))
+    assert json.loads((tmp_path / "bie" / "msr.json").read_text())["provenance"] == "bie"
 
 
 @pytest.mark.parametrize("argv", [
     ["theory", "--preset", "fig1"],
     ["compare", "--preset", "fig1"],
-    ["forward", "--config", "bie.json"],
-], ids=["theory", "compare", "bie-forward"])
+], ids=["theory", "compare"])
 def test_runs_with_a_bessel_function_load_scipy_special_in_set_up(tmp_path, argv):
     # the other side of the predicate: the import is paid in load_config,
-    # never inside the first traced stage that evaluates J0 or H0
-    (tmp_path / "bie.json").write_text(json.dumps({**preset_config("fig3"), "forward": "bie"}))
+    # never inside the first traced stage that evaluates J0
     code = ("import sys, crackmusic.cli as cli\n"
             f"cli.load_config(cli.build_parser().parse_args({[*argv, '--out', 'o']!r}))\n"
             "print('scipy.special' in sys.modules)\n")

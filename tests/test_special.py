@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crackmusic import bessel_j0, make_directions
+from crackmusic import bessel_j0, hankel0, make_directions
 from reference import direction_average
 
 # Independent oracle: trapezoid quadrature of (1/2pi) int_0^{2pi} e^{ix cos t} dt
@@ -46,6 +46,43 @@ def test_j0_rejects_non_finite():
         bessel_j0(np.nan)
     with pytest.raises(ValueError):
         bessel_j0(np.inf)
+
+
+def _hankel0_sample():
+    """[1e-6, 100] densely, the x < 1e-5 branch, both sides of the x = 5 split,
+    and the first zeros of J0 and Y0 with their neighbouring doubles."""
+    from scipy.special import jn_zeros, y0_zeros
+    zeros = np.concatenate([jn_zeros(0, 32), y0_zeros(32)[0].real])
+    return np.concatenate([
+        np.linspace(1e-6, 100.0, 200_001), np.geomspace(1e-6, 1e-4, 401),
+        np.nextafter(5.0, [0.0, 10.0]), [5.0], np.linspace(4.999, 5.001, 2001),
+        zeros, np.nextafter(zeros, 0.0), np.nextafter(zeros, 200.0)])
+
+
+def test_hankel0_matches_scipy_j0_y0_and_hankel1():
+    # scipy's j0 and y0 run the same Cephes approximations, and hankel1 is AMOS;
+    # the bounds leave room for an ulp of numpy's SIMD cos, sin and log
+    from scipy.special import hankel1, j0, y0
+    x = _hankel0_sample()
+    h = hankel0(x)
+    assert h.dtype == np.complex128 and h.shape == x.shape
+    assert np.max(np.abs(h.real - j0(x))) <= 1e-15
+    assert np.max(np.abs(h.imag - y0(x))) <= 1e-15
+    assert np.max(np.abs(h - hankel1(0, x))) <= 4e-15
+
+
+def test_hankel0_keeps_the_shape():
+    # inputs longer than one pass of the evaluator, in C order and transposed
+    x = np.linspace(0.5, 9.5, 3 * 10_001).reshape(3, 10_001)
+    flat = hankel0(x.ravel())
+    assert np.array_equal(hankel0(x), flat.reshape(x.shape))
+    assert np.array_equal(hankel0(x.T), flat.reshape(x.shape).T)
+
+
+def test_hankel0_rejects_non_positive_and_non_finite():
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            hankel0(np.array([1.0, bad]))
 
 
 def test_direction_average_at_origin():
