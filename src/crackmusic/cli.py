@@ -65,6 +65,13 @@ def load_config(args):
     for where, v in _non_finite(cfg):
         if not (where == "snr_db" and v == np.inf):   # +inf dB means no noise
             raise ConfigError(f"config value at {where} must be finite, not {v}")
+    snr = cfg.get("snr_db", 0.0)   # past +-300 dB the noise is 30 decades off the signal
+    if abs(snr) > 300 and snr != np.inf:
+        raise ConfigError(f"snr_db is {snr!r}, but it must lie in [-300, 300] dB (+inf: no noise)")
+    for i, crack in enumerate(cfg["scene"]["cracks"]):   # assemble_msr sizes every crack by h
+        if cfg["forward"] == "asym" and crack.get("half_length", cfg["h"]) != cfg["h"]:
+            raise ConfigError(f"scene/cracks/{i}/half_length is {crack['half_length']!r}, but "
+                              f"the asymptotic model sizes every crack by h = {cfg['h']!r}")
     first = {}
     for eta in cfg["etas"]:
         tag = _tag(eta)
@@ -81,14 +88,13 @@ def load_config(args):
         plan = _checked("calibration", CalibrationPlan, **cfg["calibration"])
     scene = _checked("scene", scene_from_dict, cfg["scene"])
     grid = _checked("grid", ImageGrid, **cfg["grid"])
-    if args.msr:   # the data must match the config's N and wavenumber, with closed directions
+    if args.msr:   # the data must match the config's N and wavenumber
         csv_path = Path(args.msr)
         sidecar = csv_path.with_suffix(".json")
         msr = _checked(f"MSR file {csv_path}", load_msr, csv_path, sidecar)
         for key, got, where, want in (
                 ("n", msr.n, "directions.n", cfg["directions"]["n"]),
-                ("wavenumber", msr.wavenumber, "scene.wavenumber", cfg["scene"]["wavenumber"]),
-                ("direction_mode", msr.directions.mode, "direction mode", "closed")):
+                ("wavenumber", msr.wavenumber, "scene.wavenumber", cfg["scene"]["wavenumber"])):
             if got != want:
                 raise ConfigError(f"MSR file {csv_path}: sidecar {sidecar} has {key} = {got!r}, "
                                   f"but the config's {where} is {want!r}")

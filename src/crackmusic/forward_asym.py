@@ -64,7 +64,7 @@ _SIDECAR = {     # key: (test of its JSON value, what it must be); type(): a JSO
     "n": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
     "wavenumber": (lambda v: type(v) in (int, float), "a number"),
     "provenance": (lambda v: v in ("asymptotic", "bie"), "'asymptotic' or 'bie'"),
-    "direction_mode": (lambda v: v in ("closed", "open"), "'closed' or 'open'"),
+    "direction_mode": (lambda v: v == "closed", "'closed'"),
 }
 
 
@@ -77,7 +77,7 @@ def save_msr(msr, csv_path, sidecar_path):
         "wavenumber": msr.wavenumber,
         "convention": CONVENTION,
         "provenance": msr.provenance,
-        "direction_mode": msr.directions.mode,
+        "direction_mode": "closed",
         **msr.extra,
     }
     with open(sidecar_path, "w") as f:
@@ -102,6 +102,6 @@ def load_msr(csv_path, sidecar_path):
         raise ValueError(f"floats of shape {vals.shape} do not match sidecar n = {n}, "
                          f"which needs n rows of n re,im pairs, shape {(n, 2 * n)}")
     entries = vals.view(np.complex128)
-    return MsrMatrix(entries=entries, directions=make_directions(n, meta["direction_mode"]),
+    return MsrMatrix(entries=entries, directions=make_directions(n),
                      wavenumber=float(meta["wavenumber"]), provenance=meta["provenance"],
                      extra={k: v for k, v in meta.items() if k not in _SIDECAR})

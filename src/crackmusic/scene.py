@@ -152,15 +152,9 @@ class Scene:
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Equispaced angles on S^1.
-
-    closed: theta_1 = 0 and theta_N = 2*pi both present (duplicated direction,
-    as in the angle scheme the direction-sum identity is stated with).
-    open: N distinct equispaced angles.
-    """
+    """Strictly increasing angles on S^1: an MSR matrix's incident and observation directions."""
 
     angles: np.ndarray
-    mode: str = "closed"
 
     def __post_init__(self):
         ang = np.asarray(self.angles, dtype=float)
@@ -177,16 +171,13 @@ class DirectionSet:
         return np.column_stack([np.cos(self.angles), np.sin(self.angles)])
 
 
-def make_directions(n, mode="closed"):
+def make_directions(n):
+    """The closed scheme: n equispaced angles with theta_1 = 0 and theta_N = 2*pi
+    both present (duplicated direction, as in the angle scheme the direction-sum
+    identity is stated with)."""
     if n < 2:
         raise ValueError("need at least 2 directions")
-    if mode == "closed":
-        ang = 2.0 * np.pi * np.arange(n) / (n - 1)
-    elif mode == "open":
-        ang = 2.0 * np.pi * np.arange(n) / n
-    else:
-        raise ValueError(f"unknown direction mode {mode!r}")
-    return DirectionSet(angles=ang, mode=mode)
+    return DirectionSet(angles=2.0 * np.pi * np.arange(n) / (n - 1))
 
 
 SEPARATION_FACTOR = 5.0           # smallest k * distance between two point targets

@@ -1,14 +1,16 @@
-"""Reference formulas that tests check the package's kernels against.
+"""Reference formulas that tests check the package's kernels against, and the
+open direction set, a fixture the package itself never builds.
 
-Each computes one value straight from the model's formula, with no code
-shared with the package, so a kernel and its reference cannot be wrong the
-same way.
+Each formula computes one value straight from the model, with no code shared
+with the package, so a kernel and its reference cannot be wrong the same way.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from crackmusic import DirectionSet
 
 
 def asym_farfield(obs, inc, scene, h):
@@ -20,13 +22,19 @@ def asym_farfield(obs, inc, scene, h):
     return -2.0 * math.pi / math.log(h / 2.0) * total
 
 
+def open_directions(n):
+    """The open scheme: n distinct equispaced angles 2*pi*j/n, j = 0..n-1."""
+    return DirectionSet(angles=2.0 * np.pi * np.arange(n) / n)
+
+
 def direction_average(w, x, dirs):
     """Average of exp(i*w*theta_n . x) over a direction set.
 
-    For the closed scheme (duplicated angle at 0 and 2*pi) the duplicated
-    endpoints get trapezoid weights 1/2, which makes the average the exact
-    periodic rectangle rule over the distinct angles; a plain mean would
-    carry an O(1/N) endpoint bias.  Converges spectrally to J0(w|x|).
+    When the last angle repeats the first one turn later (the closed scheme,
+    angles 0 and 2*pi) the duplicated endpoints get trapezoid weights 1/2,
+    which makes the average the exact periodic rectangle rule over the
+    distinct angles; a plain mean would carry an O(1/N) endpoint bias.
+    Converges spectrally to J0(w|x|).
     """
     x = np.asarray(x, dtype=float)
     if not (np.isfinite(w) and np.all(np.isfinite(x))):
@@ -35,7 +43,7 @@ def direction_average(w, x, dirs):
     if ang.size == 0:
         raise ValueError("direction set is empty")
     phases = np.exp(1j * w * (np.cos(ang) * x[0] + np.sin(ang) * x[1]))
-    if dirs.mode == "closed":
+    if math.isclose(ang[-1] - ang[0], 2.0 * math.pi):
         wts = np.ones(ang.size)
         wts[0] = wts[-1] = 0.5
         return complex(np.sum(wts * phases) / (ang.size - 1))

@@ -20,7 +20,7 @@ from crackmusic.cli import main as cli_main
 from crackmusic.forward_bie import boundary_field
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
-from reference import asym_farfield, direction_average
+from reference import asym_farfield, direction_average, open_directions
 
 K_HALF = 2 * np.pi / 0.5
 K_THIRD = 2 * np.pi / 0.3
@@ -46,7 +46,7 @@ def scene3(k):
 
 
 def test_criterion_01_direction_average_matches_j0():
-    dirs = make_directions(360, "closed")
+    dirs = make_directions(360)
     worst = 0.0
     for w_abs_x in np.linspace(0.0, 30.0, 121):
         val = direction_average(w_abs_x, (1.0, 0.0), dirs)
@@ -56,7 +56,7 @@ def test_criterion_01_direction_average_matches_j0():
 
 
 def test_criterion_02_rank_structure():
-    msr = assemble_msr(scene3(K_HALF), 0.05, make_directions(16, "closed"))
+    msr = assemble_msr(scene3(K_HALF), 0.05, make_directions(16))
     s = svd_msr(msr).singular_values
     ratio = s[3] / s[0]
     good = 0
@@ -71,7 +71,7 @@ def test_criterion_02_rank_structure():
 def _scaled_peak_sweep(k, snr_db=None, seed=None):
     """Criterion-3 body: returns True iff every eta map's 3 dominant peaks
     pair off bijectively with the scaled centers within 2 grid cells."""
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     msr = assemble_msr(scene3(k), 0.05, dirs)
     if snr_db is not None:
         msr = add_awgn(msr, snr_db, seed)
@@ -104,7 +104,7 @@ def test_criterion_03_scaled_peak_law():
 def test_criterion_04_theory_agreement():
     grid = ImageGrid(-2, 2, -2, 2, 0.05)
     center = (-0.6, -0.2)
-    dirs = make_directions(64, "open")
+    dirs = open_directions(64)
     params = TheoryParams(wavenumber=K_HALF, eta=15.0, centers=[center])
     tmap = theory_map(params, grid)
 
@@ -131,7 +131,7 @@ def test_criterion_04_theory_agreement():
 
 
 def test_criterion_05_origin_axis_invariance():
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
     ok = True
     for center, rule in (((0.0, 0.0), "origin"), ((0.7, 0.0), "axis")):
@@ -171,7 +171,7 @@ def test_criterion_07_forward_solver_soundness():
     crack = SegmentCrack(center=(-0.6, -0.2), half_length=0.5)
     k = K_HALF
     (n,) = assemble_msr_bie(Scene(cracks=(crack,), wavenumber=k),
-                            make_directions(8, "closed")).extra["bie_n"]
+                            make_directions(8)).extra["bie_n"]
     inc = np.array([1.0, 0.0])
     dens = solve_scatter(crack, k, inc, n=n)
     tau = np.linspace(-0.95, 0.95, 33)
@@ -207,7 +207,7 @@ def test_criterion_08_calibration_recovery():
     from crackmusic.presets import extended_arc_points
     cfg = preset_config("fig4")
     scene = scene_from_dict(cfg["scene"])
-    dirs = make_directions(32, "closed")
+    dirs = make_directions(32)
     msr = assemble_msr(scene, 0.05, dirs)
     plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
@@ -240,7 +240,7 @@ def test_criterion_08_calibration_recovery():
 
 
 def test_criterion_09_noise_contract():
-    dirs = make_directions(32, "closed")
+    dirs = make_directions(32)
     msr = assemble_msr(scene3(K_HALF), 0.05, dirs)
     ok_snr = True
     for seed in (0, 1, 2):

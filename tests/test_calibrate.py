@@ -46,7 +46,7 @@ def _segment_msr(y, eta_ignored=None, extra_cracks=(), n=32, k=K3):
     cracks = tuple(extra_cracks) + (
         SegmentCrack(center=y, half_length=0.05),)
     scene = Scene(cracks=cracks, wavenumber=k)
-    return assemble_msr(scene, 0.05, make_directions(n, "closed"))
+    return assemble_msr(scene, 0.05, make_directions(n))
 
 
 def test_calibrate_small_scatterer_recovers_k():
@@ -113,7 +113,7 @@ def test_calibrate_no_peak_near_ray_raises():
     # crack far from the ray through y; no calibration scatterer present
     scene = Scene(cracks=(SegmentCrack(center=(1.0, 1.0), half_length=0.05),),
                   wavenumber=K3)
-    msr = assemble_msr(scene, 0.05, make_directions(32, "closed"))
+    msr = assemble_msr(scene, 0.05, make_directions(32))
     plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     with pytest.raises(ValueError):
         calibrate_and_image(msr, plan, ImageGrid(-2, 2, -2, 2, 0.01),

@@ -26,6 +26,11 @@ def _arc_scene(points):
     return {"wavenumber": K1, "cracks": [{"type": "arc", "points": points}]}
 
 
+def _fig1_half_lengths(half_length):
+    scene = preset_config("fig1")["scene"]
+    return {**scene, "cracks": [{**c, "half_length": half_length} for c in scene["cracks"]]}
+
+
 def write_cfg(tmp_path, **overrides):
     cfg = preset_config("fig1")
     cfg.update(overrides)
@@ -209,9 +214,10 @@ def test_schema_violation_is_exit_2(tmp_path):
     ("--grid=a,1,-1,1,0.1", True), ("--grid=1,0,-1,1,0.1", False),
     ("--snr-db=nan", False), ("--eta=inf", False), ("--eta=nan", False),
     ("--signal-dim=threshold:nan", False), ("--grid=-1,1,-1,1,nan", False),
-    ("--signal-dim=manual:40", False),
+    ("--signal-dim=manual:40", False), ("--snr-db=1e308", False), ("--snr-db=-1e308", False),
 ], ids=["banana", "manual-abc", "grid-abc", "grid-reversed",
-        "snr-nan", "eta-inf", "eta-nan", "threshold-nan", "grid-nan", "manual-above-n"])
+        "snr-nan", "eta-inf", "eta-nan", "threshold-nan", "grid-nan", "manual-above-n",
+        "snr-huge", "snr-minus-huge"])
 def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
     # a value the flag's parser rejects is an argparse error; the rest fail in load_config
     argv = ("image", "--preset", "fig1", "--out", str(tmp_path / "o"), flag)
@@ -235,6 +241,10 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
     ({"calibration": {"y": [0.0, -1.0], "eta": 20.0, "kind": "extended"}}, "'kind'"),
     ({"calibration": {"y": [0.0, -0.0], "eta": 20.0}}, "calibration/y"),
     ({"snr_db": float("-inf")}, "snr_db"),
+    ({"snr_db": 1e308}, "snr_db is 1e+308, but it must lie in [-300, 300] dB"),
+    ({"snr_db": -1e308}, "snr_db is -1e+308, but it must lie in [-300, 300] dB"),
+    ({"scene": _fig1_half_lengths(0.4)},
+     "scene/cracks/0/half_length is 0.4, but the asymptotic model sizes every crack by h = 0.05"),
     ({"scene": {"wavenumber": K1, "cracks": [{"type": "segment", "center": [0, 0]}]}},
      "'half_length' is a required property"),
     ({"scene": {"wavenumber": K1, "cracks": [{"type": "segment", "center": [0, 0],
@@ -252,7 +262,8 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
      "scene: arc points 0 and 1 coincide"),
 ], ids=["manual-without-m", "threshold-without-tau", "threshold-above-1", "bie_n",
         "theory_variant", "exclusion_radius", "directions-mode", "calibration-kind", "calibration-origin",
-        "snr-minus-inf", "segment-without-half-length", "segment-unknown-key",
+        "snr-minus-inf", "snr-huge", "snr-minus-huge", "half-length-not-h",
+        "segment-without-half-length", "segment-unknown-key",
         "arc-with-angle", "wavenumber-nan", "eta-inf", "arc-points-all-coincide",
         "arc-repeated-point", "arc-repeated-point-bie"])
 def test_schema_violation_names_the_field(tmp_path, capsys, overrides, field):
@@ -260,6 +271,13 @@ def test_schema_violation_names_the_field(tmp_path, capsys, overrides, field):
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_half_length_other_than_h_is_kept_under_bie(tmp_path):
+    # the BIE sizes each segment by its own half_length and never reads h
+    cfg = write_cfg(tmp_path, forward="bie", scene=_fig1_half_lengths(0.4))
+    args = cli.build_parser().parse_args(["forward", "--config", cfg, "--out", "o"])
+    assert [c.half_length for c in cli.load_config(args).scene.cracks] == [0.4] * 3
 
 
 @pytest.mark.parametrize("command", ["image", "svd", "compare", "calibrate"])
@@ -376,7 +394,7 @@ def _sidecar_array(csv_path, sidecar):
     (_set_sidecar("provenance", [1]),
      "msr.json: 'provenance' must be 'asymptotic' or 'bie', not [1]"),
     (_set_sidecar("direction_mode", "open"),
-     "msr.json has direction_mode = 'open', but the config's direction mode is 'closed'"),
+     "msr.json: 'direction_mode' must be 'closed', not 'open'"),
     (_drop_sidecar_key("direction_mode"), "msr.json lacks the key 'direction_mode'"),
 ], ids=["n-mismatch", "convention", "nan-entry", "odd-columns", "sidecar-array", "n-string",
         "n-bool", "wavenumber-null", "wavenumber-list", "wavenumber-abc", "wavenumber-string",

@@ -5,7 +5,7 @@ from crackmusic import (MsrMatrix, Scene, SegmentCrack, assemble_msr, load_msr,
                         make_directions, save_msr)
 from crackmusic.presets import preset_config
 from crackmusic.scene import DirectionSet, scene_from_dict
-from reference import asym_farfield
+from reference import asym_farfield, open_directions
 
 K1 = 2 * np.pi / 0.5
 
@@ -17,7 +17,7 @@ def scene3():
 def test_farfield_single_centered_crack():
     # a crack at the origin scatters the same value c = -2 pi / ln(h/2) everywhere
     sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
-    msr = assemble_msr(sc, 0.05, make_directions(8, "open"))
+    msr = assemble_msr(sc, 0.05, open_directions(8))
     assert np.allclose(msr.entries, -2 * np.pi / np.log(0.025), rtol=1e-15, atol=0)
 
 
@@ -25,7 +25,7 @@ def test_farfield_forward_direction_sums_phases():
     # K[j, l] = u_inf(-theta_j, theta_l) looks forward (obs = inc) where
     # theta_j = -theta_l, half a turn on; there every crack's phase is 1
     n = 16
-    msr = assemble_msr(scene3(), 0.05, make_directions(n, "open"))
+    msr = assemble_msr(scene3(), 0.05, open_directions(n))
     forward = msr.entries[(np.arange(n) + n // 2) % n, np.arange(n)]
     assert forward == pytest.approx(np.full(n, -3 * 2 * np.pi / np.log(0.025)))
 
@@ -34,7 +34,7 @@ def test_farfield_offset_crack_phase():
     sc = Scene(cracks=(SegmentCrack(center=(0.5, 0.0), half_length=0.05),),
                wavenumber=12.5664)
     # K[0, 0] is u_inf(obs = (-1, 0), inc = (1, 0))
-    got = assemble_msr(sc, 0.05, make_directions(4, "open")).entries[0, 0]
+    got = assemble_msr(sc, 0.05, open_directions(4)).entries[0, 0]
     assert got == pytest.approx(-(2 * np.pi / np.log(0.025)) * np.exp(12.5664j))
 
 
@@ -46,20 +46,20 @@ def test_farfield_rejects_bad_h():
 
 
 def test_msr_complex_symmetric():
-    msr = assemble_msr(scene3(), 0.05, make_directions(16, "closed"))
+    msr = assemble_msr(scene3(), 0.05, make_directions(16))
     assert np.linalg.norm(msr.entries - msr.entries.T) == 0.0
 
 
 def test_msr_single_crack_rank_one():
     sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
-    msr = assemble_msr(sc, 0.05, make_directions(16, "closed"))
+    msr = assemble_msr(sc, 0.05, make_directions(16))
     assert np.allclose(msr.entries, msr.entries[0, 0])
     s = np.linalg.svd(msr.entries, compute_uv=False)
     assert s[1] / s[0] < 1e-12
 
 
 def test_msr_three_cracks_rank_three():
-    msr = assemble_msr(scene3(), 0.05, make_directions(16, "closed"))
+    msr = assemble_msr(scene3(), 0.05, make_directions(16))
     s = np.linalg.svd(msr.entries, compute_uv=False)
     assert s[3] / s[0] < 1e-8
 
@@ -67,7 +67,7 @@ def test_msr_three_cracks_rank_three():
 def test_factorization_reconstruction():
     # every entry of the factored c A A^T is u_inf(-theta_j, theta_l)
     sc = scene3()
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     msr = assemble_msr(sc, 0.05, dirs)
     th = dirs.vectors()
     ref = np.array([[asym_farfield(-tj, tl, sc, 0.05) for tl in th] for tj in th])
@@ -87,14 +87,14 @@ def test_reciprocity_of_asymptotic_model():
 
 
 def test_msr_file_round_trip(tmp_path):
-    msr = assemble_msr(scene3(), 0.05, make_directions(16, "closed"))
+    msr = assemble_msr(scene3(), 0.05, make_directions(16))
     save_msr(msr, tmp_path / "msr.csv", tmp_path / "msr.json")
     back = load_msr(tmp_path / "msr.csv", tmp_path / "msr.json")
     # repr() floats round-trip bit-exactly, which beats the 1e-15 contract
     assert np.array_equal(back.entries, msr.entries)
     assert back.wavenumber == msr.wavenumber
     assert back.provenance == "asymptotic"
-    assert back.directions.mode == "closed"
+    assert np.array_equal(back.directions.angles, msr.directions.angles)
     save_msr(back, tmp_path / "msr2.csv", tmp_path / "msr2.json")
     assert (tmp_path / "msr.json").read_bytes() == (tmp_path / "msr2.json").read_bytes()
     assert (tmp_path / "msr.csv").read_bytes() == (tmp_path / "msr2.csv").read_bytes()

@@ -50,7 +50,7 @@ def _one_crack(crack):
 
 
 def test_n_refinement_self_convergence():
-    dirs = make_directions(8, "closed")
+    dirs = make_directions(8)
     msr = assemble_msr_bie(_one_crack(GAMMA1), dirs)
     assert msr.extra["bie_n"] == [128]
     obs = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -68,14 +68,14 @@ def _block_at(crack, dirs, n):
 def test_auto_n_block_is_the_solve_at_the_reported_n():
     # the refinement keeps the block it checked: re-solving the crack at
     # the reported node count reproduces the entries bit for bit
-    dirs = make_directions(8, "closed")
+    dirs = make_directions(8)
     auto = assemble_msr_bie(_one_crack(GAMMA2), dirs)
     (n,) = auto.extra["bie_n"]
     assert np.array_equal(auto.entries, _block_at(GAMMA2, dirs, n))
 
 
 def test_auto_n_block_is_within_tolerance_of_a_finer_solve():
-    dirs = make_directions(8, "closed")
+    dirs = make_directions(8)
     auto = assemble_msr_bie(_one_crack(GAMMA2), dirs)
     finer = _block_at(GAMMA2, dirs, 2 * auto.extra["bie_n"][0])
     err = np.max(np.abs(auto.entries - finer))
@@ -142,7 +142,7 @@ def test_assemble_msr_bie_three_cracks():
     cracks = tuple(SegmentCrack(center=c.center, half_length=0.005,
                                 angle=c.angle) for c in base.cracks)
     sc = Scene(cracks=cracks, wavenumber=base.wavenumber)
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     msr = assemble_msr_bie(sc, dirs)
     assert msr.provenance == "bie"
     assert msr.extra["bie_n"] == [128] * 3

@@ -14,6 +14,7 @@ from crackmusic.forward_asym import MsrMatrix
 from crackmusic.music import ImageMap, save_map_csv, save_map_pgm, save_spectrum_csv
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
+from reference import open_directions
 
 K1 = 2 * np.pi / 0.5
 
@@ -28,13 +29,13 @@ def at(x):
 
 
 def msr3(n=16):
-    return assemble_msr(scene3(), 0.05, make_directions(n, "closed"))
+    return assemble_msr(scene3(), 0.05, make_directions(n))
 
 
 def random_msr(n, seed):
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return MsrMatrix(entries=e, directions=make_directions(n, "closed"),
+    return MsrMatrix(entries=e, directions=make_directions(n),
                      wavenumber=1.0, provenance="file")
 
 
@@ -42,13 +43,13 @@ def random_msr(n, seed):
 
 def test_svd_zero_matrix():
     z = MsrMatrix(entries=np.zeros((8, 8), complex),
-                  directions=make_directions(8, "closed"), wavenumber=1.0)
+                  directions=make_directions(8), wavenumber=1.0)
     assert np.all(svd_msr(z).singular_values == 0.0)
 
 
 def test_svd_rank_one_single_crack():
     sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
-    s = svd_msr(assemble_msr(sc, 0.05, make_directions(16, "closed"))).singular_values
+    s = svd_msr(assemble_msr(sc, 0.05, make_directions(16))).singular_values
     assert s[1] / s[0] < 1e-12
 
 
@@ -92,7 +93,7 @@ def test_manual_selection_and_bounds():
 def _diag_msr(diagonal):
     n = len(diagonal)
     return MsrMatrix(entries=np.diag(np.asarray(diagonal, dtype=complex)),
-                     directions=make_directions(n, "closed"), wavenumber=1.0)
+                     directions=make_directions(n), wavenumber=1.0)
 
 
 def test_log_gap_flat_spectrum_is_ambiguous():
@@ -140,7 +141,7 @@ def _explicit_projector_map(space, grid, eta, dirs):
 @pytest.mark.parametrize("m", [0, 3, 15, 16])
 def test_imaging_map_matches_explicit_projector(m):
     sp = select_signal_dim(svd_msr(random_msr(16, 40 + m)), "manual", m=m)
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     g = ImageGrid(-1.0, 1.0, -2.1, 2.1, 0.01)
     assert len(g.row_blocks(16 * 16)) >= 3
     got = imaging_map(sp, g, 11.0, dirs).values
@@ -151,14 +152,14 @@ def test_imaging_map_matches_explicit_projector(m):
 
 def test_imaging_map_m0_is_exactly_one():
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=0)
-    m = imaging_map(sp, ImageGrid(-1, 1, -1, 1, 0.1), 10.0, make_directions(16, "closed"))
+    m = imaging_map(sp, ImageGrid(-1, 1, -1, 1, 0.1), 10.0, make_directions(16))
     assert np.all(m.values == 1.0)
 
 
 def test_imaging_map_clamps_at_signal_space_centre():
     # a single crack at the origin: the origin's steering vector spans the signal space
     sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     sp = select_signal_dim(svd_msr(assemble_msr(sc, 0.05, dirs)), "manual", m=1)
     m = imaging_map(sp, ImageGrid(-0.1, 0.1, -0.1, 0.1, 0.1), K1, dirs)
     assert m.values[1, 1] == 1.0 / music.EPS_CLAMP
@@ -168,12 +169,12 @@ def test_imaging_map_clamps_at_signal_space_centre():
 def test_imaging_map_rejects_direction_count_mismatch():
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
     with pytest.raises(ValueError, match="directions"):
-        imaging_map(sp, ImageGrid(0, 1, 0, 1, 0.5), 10.0, make_directions(8, "closed"))
+        imaging_map(sp, ImageGrid(0, 1, 0, 1, 0.5), 10.0, make_directions(8))
 
 
 def test_imaging_map_rejects_nonpositive_eta():
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     for eta in (-5.0, 0.0, float("nan")):
         with pytest.raises(ValueError, match="eta must be positive"):
             imaging_map(sp, ImageGrid(-1, 1, -1, 1, 0.5), eta, dirs)
@@ -185,7 +186,7 @@ def test_imaging_map_rejects_empty_grid():
     with pytest.raises(ValueError, match="nonempty"):
         ImageGrid(0.5, 0.4, -1, 1, 0.1)
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
-    one = imaging_map(sp, at((0.5, 0.5)), 10.0, make_directions(16, "closed"))
+    one = imaging_map(sp, at((0.5, 0.5)), 10.0, make_directions(16))
     assert one.values.shape == (1, 1)
 
 
@@ -194,14 +195,14 @@ def test_imaging_map_rejects_empty_grid():
 def test_imaging_map_origin_is_eta_independent():
     # the steering vector at the origin is constant whatever eta is
     sp = select_signal_dim(svd_msr(random_msr(16, 9)), "manual", m=5)
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     vals = [imaging_map(sp, at((0.0, 0.0)), eta, dirs).values[0, 0] for eta in (1.0, 7.5, 40.0)]
     assert vals == pytest.approx([vals[0]] * 3, rel=1e-13)
 
 
 def test_imaging_map_scale_identity():
     sp = select_signal_dim(svd_msr(random_msr(16, 11)), "manual", m=4)
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     x = np.array([0.4, -0.7])
     eta, eta2 = 12.0, 18.0
     assert imaging_map(sp, at(x), eta, dirs).values[0, 0] == pytest.approx(
@@ -215,7 +216,7 @@ def test_imaging_map_memory_is_bounded():
     assert npts == 801 * 801
     tracemalloc.start()
     try:
-        imaging_map(sp, g, 20.0, make_directions(64, "closed"))
+        imaging_map(sp, g, 20.0, make_directions(64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -228,7 +229,7 @@ def test_imaging_map_is_independent_of_the_block_size(n, monkeypatch):
     # the closed form and the phase distance walk the same row blocks; n
     # centres make one or two of them at the default budget
     sp = select_signal_dim(svd_msr(random_msr(n, 5)), "manual", m=n // 3)
-    dirs = make_directions(n, "closed")
+    dirs = make_directions(n)
     params = TheoryParams(wavenumber=K1, eta=13.0,
                           centers=np.random.default_rng(n).uniform(-1, 1, (n, 2)))
     g = ImageGrid(-1.0, 1.0, -1.3, 1.3, 0.02)
@@ -245,20 +246,20 @@ def test_imaging_map_is_independent_of_the_block_size(n, monkeypatch):
 
 def test_imaging_m0_is_one_everywhere():
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=0)
-    m = imaging_map(sp, ImageGrid(-1.1, 0.5, -0.3, 0.9, 0.4), 10.0, make_directions(16, "closed"))
+    m = imaging_map(sp, ImageGrid(-1.1, 0.5, -0.3, 0.9, 0.4), 10.0, make_directions(16))
     assert np.array_equal(m.values, np.ones((4, 5)))
 
 
 def test_imaging_huge_at_crack_for_origin_crack():
     sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     sp = select_signal_dim(svd_msr(assemble_msr(sc, 0.05, dirs)), "manual", m=1)
     assert imaging_map(sp, at((0.0, 0.0)), K1, dirs).values[0, 0] > 1e3
 
 
 def test_imaging_near_one_far_from_peaks():
     sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
-    dirs = make_directions(64, "open")
+    dirs = open_directions(64)
     sp = select_signal_dim(svd_msr(assemble_msr(sc, 0.05, dirs)), "manual", m=1)
     # k|x| large, far from (k/eta) z_1 = origin
     assert imaging_map(sp, at((1.5, -1.2)), K1, dirs).values[0, 0] == pytest.approx(1.0, abs=0.1)
@@ -278,7 +279,7 @@ def test_imaging_map_single_point_grid():
     # the kernel against the projector written out: 1 / |(I - U_M U_M^H) f|
     # with the unit steering vector f = exp(i eta theta . x) / sqrt(N)
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     x, eta = np.array([0.25, -0.5]), 12.0
     m = imaging_map(sp, at(x), eta, dirs)
     assert m.values.shape == (1, 1)
@@ -290,7 +291,7 @@ def test_imaging_map_single_point_grid():
 
 def test_imaging_floor_noiseless():
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
-    m = imaging_map(sp, ImageGrid(-2, 2, -2, 2, 0.05), 15.0, make_directions(16, "closed"))
+    m = imaging_map(sp, ImageGrid(-2, 2, -2, 2, 0.05), 15.0, make_directions(16))
     assert np.all(m.values >= 1.0 - 1e-9)
 
 
@@ -302,7 +303,7 @@ def _peak_targets(eta, k=K1):
 def test_imaging_map_peaks_at_scaled_centers(eta):
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
     g = ImageGrid(-2, 2, -2, 2, 0.01)
-    m = imaging_map(sp, g, eta, make_directions(16, "closed"))
+    m = imaging_map(sp, g, eta, make_directions(16))
     pk = find_peaks(m, 3)
     assert pk.complete
     targets = _peak_targets(eta)
@@ -317,7 +318,7 @@ def test_imaging_map_peaks_at_scaled_centers(eta):
 
 def test_peak_count_matches_crack_count_across_eta():
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=3)
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     g = ImageGrid(-2, 2, -2, 2, 0.02)
     for eta in (K1 / 2, K1, 2 * K1):
         m = imaging_map(sp, g, eta, dirs)
@@ -338,7 +339,7 @@ def test_find_peaks_constant_map_flagged():
 
 def test_find_peaks_single_crack():
     sc = Scene(cracks=(SegmentCrack(center=(0.3, -0.4), half_length=0.05),), wavenumber=K1)
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     sp = select_signal_dim(svd_msr(assemble_msr(sc, 0.05, dirs)), "manual", m=1)
     m = imaging_map(sp, ImageGrid(-2, 2, -2, 2, 0.01), 20.0, dirs)
     pk = find_peaks(m, 1)

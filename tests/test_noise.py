@@ -7,7 +7,7 @@ from crackmusic.scene import scene_from_dict
 
 def clean_msr(n=64):
     sc = scene_from_dict(preset_config("fig1")["scene"])
-    return assemble_msr(sc, 0.05, make_directions(n, "closed"))
+    return assemble_msr(sc, 0.05, make_directions(n))
 
 
 def test_no_noise_sentinel_is_bit_exact():

@@ -20,7 +20,7 @@ PRESET_OUTPUTS = Path(__file__).resolve().parents[1] / "tools" / "preset_outputs
 
 _ASSUMPTION_CHECK = "a modelling-assumption check: ROADMAP item 3 wires it in"
 UNREACHED = {
-    "forward_bie.boundary_field": "the BIE exactness check (ROADMAP item 4)",
+    "forward_bie.boundary_field": "the coupled BIE's exactness check (ROADMAP item 7)",
     "scene.separation_ok": _ASSUMPTION_CHECK,
     "scene.SegmentCrack.is_small_for": _ASSUMPTION_CHECK,
 }

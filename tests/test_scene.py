@@ -5,29 +5,30 @@ from crackmusic import (ParametricCrack, Scene, SegmentCrack, incident_field,
                         make_directions, scene, separation_ok)
 from crackmusic.presets import calibration_segment_points, extended_arc_points, preset_config
 from crackmusic.scene import scene_from_dict
+from reference import open_directions
 
 
 def test_make_directions_n2_closed():
-    d = make_directions(2, "closed")
+    d = make_directions(2)
     assert np.allclose(d.angles, [0.0, 2 * np.pi])
 
 
 def test_make_directions_n5_closed():
-    d = make_directions(5, "closed")
+    d = make_directions(5)
     assert np.allclose(d.angles, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi])
 
 
 def test_make_directions_n16_angle_formula():
     # theta_n = theta_1 + (theta_N - theta_1)(n-1)/(N-1); n = 9 gives 16*pi/15
-    d = make_directions(16, "closed")
+    d = make_directions(16)
     assert d.angles[8] == pytest.approx(16 * np.pi / 15)
 
 
 def test_make_directions_closed_duplicates_endpoint():
-    d = make_directions(16, "closed")
+    d = make_directions(16)
     v = d.vectors()
     assert np.allclose(v[0], v[-1])
-    o = make_directions(16, "open")
+    o = open_directions(16)
     assert not np.allclose(o.vectors()[0], o.vectors()[-1])
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crackmusic import bessel_j0, hankel0, make_directions
-from reference import direction_average
+from reference import direction_average, open_directions
 
 # Independent oracle: trapezoid quadrature of (1/2pi) int_0^{2pi} e^{ix cos t} dt
 # with 4096 nodes (spectrally exact for |x| <= 200).
@@ -86,17 +86,17 @@ def test_hankel0_rejects_non_positive_and_non_finite():
 
 
 def test_direction_average_at_origin():
-    dirs = make_directions(45, "closed")
+    dirs = make_directions(45)
     assert direction_average(3.7, (0.0, 0.0), dirs) == pytest.approx(1.0)
 
 
 def test_direction_average_at_j0_zero():
-    dirs = make_directions(360, "closed")
+    dirs = make_directions(360)
     assert abs(direction_average(1.0, (J0_FIRST_ZERO, 0.0), dirs)) < 1e-3
 
 
 def test_direction_average_matches_j0():
-    dirs = make_directions(360, "closed")
+    dirs = make_directions(360)
     got = direction_average(12.5664, (0.5, 0.0), dirs)
     assert abs(got - bessel_j0(6.2832)) < 1e-3
 
@@ -104,7 +104,7 @@ def test_direction_average_matches_j0():
 def test_direction_sum_identity_n64():
     # the plane-wave sum identity as an approximation claim: N >= 64, w|x| <= 30
     for n in (64, 128, 360):
-        dirs = make_directions(n, "closed")
+        dirs = make_directions(n)
         rng = np.random.default_rng(11)
         for _ in range(40):
             r = rng.uniform(0.0, 30.0)
@@ -114,7 +114,7 @@ def test_direction_sum_identity_n64():
 
 
 def test_direction_average_rotation_invariant():
-    dirs = make_directions(360, "closed")
+    dirs = make_directions(360)
     base = direction_average(2.0, (1.3, 0.0), dirs)
     for phi in (0.3, 1.1, 2.9, 4.4):
         x = 1.3 * np.array([np.cos(phi), np.sin(phi)])
@@ -122,14 +122,14 @@ def test_direction_average_rotation_invariant():
 
 
 def test_closed_and_open_schemes_agree_at_large_n():
-    c = make_directions(360, "closed")
-    o = make_directions(360, "open")
+    c = make_directions(360)
+    o = open_directions(360)
     for r in (0.5, 3.0, 11.0, 28.0):
         assert abs(direction_average(1.0, (r, 0.0), c)
                    - direction_average(1.0, (r, 0.0), o)) < 1e-3
 
 
 def test_direction_average_rejects_non_finite():
-    dirs = make_directions(16, "closed")
+    dirs = make_directions(16)
     with pytest.raises(ValueError):
         direction_average(np.nan, (0.1, 0.2), dirs)

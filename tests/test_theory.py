@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from crackmusic import (ImageGrid, TheoryParams, assemble_msr, compare_maps,
-                        find_peaks, imaging_map, make_directions,
-                        phase_distance, select_signal_dim, svd_msr,
-                        theory_map)
+                        find_peaks, imaging_map, phase_distance,
+                        select_signal_dim, svd_msr, theory_map)
 from crackmusic import music
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
 from crackmusic.special import bessel_j0
+from reference import open_directions
 
 K1 = 2 * np.pi / 0.5
 J0_FIRST_ZERO = 2.404825557695773
@@ -158,7 +158,7 @@ CENTER1 = (-0.6, -0.2)
 
 def _numeric_map_single(grid, eta, h=1e-3):
     from crackmusic import Scene, SegmentCrack
-    dirs = make_directions(64, "open")
+    dirs = open_directions(64)
     sc = Scene(cracks=(SegmentCrack(center=CENTER1, half_length=h / 2),),
                wavenumber=K1)
     sp = select_signal_dim(svd_msr(assemble_msr(sc, h, dirs)), "manual", m=1)
