@@ -1,15 +1,18 @@
 """Command-line orchestration: forward data, imaging, SVD, theory, calibration.
 
 Subcommands: forward, image, svd, theory, compare, calibrate.  Every command
-is deterministic given the config and seed; floats are written with repr (17
-significant digits) so outputs are byte-reproducible.
+is deterministic given the config and seed; floats are written as repr writes
+them (the shortest decimal that reads back exactly) so outputs are
+byte-reproducible.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+Exit codes: 0 success, 2 config error, 3 numeric failure (which removes the
+--out directory the run created).
 """
 
 import argparse
 import importlib.resources
 import json
+import shutil
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -284,9 +287,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    made = None      # the outermost directory of --out that this run creates
     try:
         run = load_config(args)
         out = Path(args.out)
+        made = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
         out.mkdir(parents=True, exist_ok=True)
         return args.fn(run, out)
     except (ConfigError, OSError, json.JSONDecodeError) as e:
@@ -294,6 +299,8 @@ def main(argv=None):
         return 2
     except (ArithmeticError, MemoryError, ValueError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        if made is not None:     # no partial output; a directory that existed is kept
+            shutil.rmtree(made, ignore_errors=True)
         return 3
 
 

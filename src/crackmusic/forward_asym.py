@@ -69,6 +69,11 @@ _SIDECAR = {     # key: (test of its JSON value, what it must be); type(): a JSO
 
 
 def save_msr(msr, csv_path, sidecar_path):
+    """Write the file pair; the sidecar names the closed direction set, the only
+    one load_msr builds, so a matrix over other angles is a ValueError."""
+    if not np.array_equal(msr.directions.angles, make_directions(msr.n).angles):
+        raise ValueError(f"an MSR file names the closed set make_directions({msr.n}), "
+                         "but the matrix is over other angles")
     with open(csv_path, "w", newline="") as f:   # the bytes csv.writer writes
         f.writelines(",".join(map(repr, row)) + "\r\n"
                      for row in msr.entries.view(np.float64).tolist())

@@ -6,6 +6,7 @@ to unit Euclidean norm so the functional has baseline 1 on the noise floor.
 """
 
 import csv
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -183,28 +184,186 @@ def _quad_offset(left, mid, right):
 
 
 # --- exports ---
+#
+# A map CSV holds repr floats.  _value_chars gives repr's characters for a
+# whole array at once.  For 1 <= v < 1e16, which holds every imaging and
+# theory map value (each is 1 / a norm <= 1), it finds the shortest decimal
+# that reads back as v, the nearer one where there are two, with exact
+# arithmetic only: y = v 10^k in [1e16, 1e17) as a double-double, the
+# half-width of v's rounding interval in y units, and int64 remainders.  Other
+# values go through repr, once per distinct value, and so do the few that the
+# exact arithmetic leaves to a rounding rule: an interval end within 1e-12 of
+# an integer, or y halfway between two candidates.
+
+_POW10_INT = np.array([10 ** j for j in range(18)], dtype=np.int64)
+_POW10 = np.array([float(10 ** j) for j in range(17)])   # exact
+_SPLIT = 134217729.0                                    # 2^27 + 1, Veltkamp's splitter
+_POW10_HI = np.array([_SPLIT * p - (_SPLIT * p - p) for p in _POW10.tolist()])
+_POW10_LO = _POW10 - _POW10_HI
+# for v in [2^(e-1), 2^e), e = 1..54: 16 - floor(log10 v) or one more, and half an ulp of v
+_SCALE_OF_EXP = np.array([17 - len(str(2 ** max(e - 1, 0))) for e in range(55)])
+_HALF_ULP = np.array([2.0 ** (e - 54) for e in range(55)])
+_LEAD, _TRAIL, _ZERO_FRACTION = 10000, 20000, 30000
+_POINT = np.frombuffer(b"\0\0\0.", np.uint32)[0]
+_CSV_BYTES_PER_POINT = 256     # the most save_map_csv holds per value of a block
+
+
+def _scaled(v, k):
+    """(n, frac): v 10^k = n + frac exactly, with n an int64 and 0 <= frac < 1,
+    for v 10^k in [2^53, 2^63)."""
+    hi = v * _POW10[k]                              # an integer, being >= 2^53
+    vh = _SPLIT * v                                 # Dekker's TwoProduct: lo = v 10^k - hi
+    vh -= vh - v
+    vl = v - vh
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    lo = vh * ph - hi
+    lo += vh * pl
+    lo += vl * ph
+    lo += vl * pl
+    fl = np.floor(lo)
+    return hi.astype(np.int64) + fl.astype(np.int64), lo - fl
+
+
+def _interval(n0, frac, half):
+    """(top, width, ends) for the interval y -+ half, y = n0 + frac: the
+    integers strictly inside are top - width ... top, and ends holds
+    (indices, integer) for ends within 1e-12 of an integer (frac -+ half is exact)."""
+    lower, upper = frac - half, frac + half
+    first, last = np.floor(lower) + 1, np.ceil(upper) - 1
+    ends = []
+    for end in (lower, upper):
+        on = np.flatnonzero(np.abs(end - np.round(end)) <= 1e-12 * half)
+        ends.append((on, n0[on] + np.round(end[on]).astype(np.int64)))
+    return n0 + last.astype(np.int64), (last - first).astype(np.int64), ends
+
+
+def _shortest_digits(v):
+    """(n, k, j, fast): for fast[i], repr(v[i]) is the decimal n[i] 10^-k[i],
+    where n[i] is an int64 in [1e16, 1e17) whose last j[i] digits are zeros."""
+    f, e = np.frexp(v)
+    fast = (v >= 1.0) & (v < 1e16) & (f != 0.5)     # a power of two has a lopsided interval
+    v = np.where(fast, v, 3.0)
+    e = np.where(fast, e, 2)
+    k = _SCALE_OF_EXP[e]
+    k -= v >= _POW10[17 - k]                        # now 1e16 <= y = v 10^k < 1e17
+    n0, frac = _scaled(v, k)
+    top, width, ends = _interval(n0, frac, _POW10[k] * _HALF_ULP[e])  # half in (0.55, 11.1]
+    # the largest j for which a multiple of 10^j lies inside; none for j means none for j + 1
+    j = np.zeros_like(k)
+    live = np.flatnonzero(fast)
+    for level in range(1, 17):
+        live = live[top[live] % _POW10_INT[level] <= width[live]]
+        if live.size == 0:
+            break
+        j[live] = level
+    # an end on a multiple of 10^(j+1) leaves j to the rule for ends
+    for on, end in ends:
+        fast[on[end % _POW10_INT[j[on] + 1] == 0]] = False
+    # the multiple of 10^j nearest y
+    q = _POW10_INT[j]
+    r = n0 % q
+    down, up = r + frac, (q - r) - frac
+    n = n0 - r + q * (down > up)
+    fast &= (down != up) & (n < _POW10_INT[17])
+    return n, k, j, fast
+
+
+@functools.cache
+def _chunk_table():
+    """The four ASCII digits of 0..9999 as one uint32, in four tables (at
+    _LEAD, _TRAIL, _ZERO_FRACTION): all digits; leading zeros as NUL; trailing
+    zeros as NUL; and the same with 0 as "0".  Built on first use, so an
+    import that writes no map pays nothing."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    table = np.empty((4, 10000, 4), np.uint8)
+    table[:] = digits + np.uint8(ord("0"))
+    table[1][np.maximum.accumulate(digits, axis=1) == 0] = 0
+    table[2:, np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] == 0] = 0
+    table[3, 0, 0] = ord("0")
+    return table.view(np.uint32).ravel()
+
+
+def _chunks(x, count):
+    """The last count 4-digit chunks of the int64 array x, most significant first."""
+    out = []
+    for _ in range(count):
+        out.append(x % 10000)
+        x = x // 10000
+    return out[::-1]
+
+
+def _value_chars(v):
+    """repr(v[i]) for each i as a bytes ("S") array; NULs inside an item are not
+    part of the text."""
+    n, k, j, fast = _shortest_digits(v)
+    scale = _POW10_INT[k]
+    whole = n // scale
+    fraction = (n - whole * scale) * _POW10_INT[16 - k]    # its 16 digits, left aligned
+    # as many 4-digit chunks as the widest integer part and the longest fraction
+    # take: leading zeros of the integer part and trailing zeros of the
+    # fraction are NUL, but a zero fraction is ".0"
+    wide = (17 - k[fast].min(initial=16) + 3) // 4
+    long = (max(1, (k - j)[fast].max(initial=1)) + 3) // 4
+    table = _chunk_table()
+    words = np.empty((v.size, wide + 1 + long), np.uint32)
+    lead = True
+    for i, c in enumerate(_chunks(whole, wide)):
+        words[:, i] = table[c + _LEAD * lead]
+        lead = lead & (c == 0)
+    words[:, wide] = _POINT
+    trail = True
+    for i, c in reversed(list(enumerate(_chunks(fraction // _POW10_INT[16 - 4 * long], long)))):
+        words[:, wide + 1 + i] = table[c + (_TRAIL if i else _ZERO_FRACTION) * trail]
+        trail = trail & (c == 0)
+    chars = words.view(f"S{words.shape[1] * 4}").ravel()
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        bits, inverse = np.unique(v[slow].view(np.int64), return_inverse=True)
+        text = np.fromiter(map(repr, bits.view(np.float64).tolist()), "S24", bits.size)
+        chars = chars.astype(f"S{max(24, chars.itemsize)}")
+        chars[slow] = text[inverse]
+    return chars
+
+
+def _csv_lines(xs, ys, values):
+    """The lines "x,y,value\\r\\n" of a block of grid rows as one uint8 array:
+    x, y and value fields, each NUL-padded to its widest item, with NULs dropped."""
+    chars = _value_chars(values.ravel())
+    lines = np.empty(values.shape,
+                     [("x", xs.dtype), ("y", ys.dtype), ("v", chars.dtype), ("end", "S2")])
+    lines["x"], lines["y"], lines["end"] = xs, ys[:, None], b"\r\n"
+    lines["v"] = chars.reshape(values.shape)
+    del chars                                       # freed before the peak, the compress below
+    lines = lines.view(np.uint8)
+    return lines[lines != 0]
+
 
 def save_map_csv(imap, path):
-    """x,y,value rows of repr floats with CRLF line ends, the bytes csv.writer writes."""
-    xs = [repr(x) + "," for x in imap.grid.xs().tolist()]
-    with open(path, "w", newline="") as f:
-        f.write("x,y,value\r\n")
-        # one row of Python floats at a time, not the whole map
-        for y, row in zip(imap.grid.ys().tolist(), np.asarray(imap.values, dtype=float)):
-            yc = repr(y) + ","
-            f.write("".join([x + yc + repr(v) + "\r\n" for x, v in zip(xs, row.tolist())]))
+    """x,y,value rows of repr floats with CRLF line ends, the bytes csv.writer writes.
+
+    A block of grid rows is formatted at once (_value_chars), within
+    _CSV_BYTES_PER_POINT of temporaries per value."""
+    g = imap.grid
+    xs = np.array([repr(x) + "," for x in g.xs().tolist()], dtype="S")
+    ys = np.array([repr(y) + "," for y in g.ys().tolist()], dtype="S")
+    values = np.asarray(imap.values, dtype=float)
+    with open(path, "wb") as f:
+        f.write(b"x,y,value\r\n")
+        for rows in g.row_blocks(_CSV_BYTES_PER_POINT):
+            f.write(_csv_lines(xs, ys[rows], values[rows]))
 
 
 def save_map_pgm(imap, path):
-    """8-bit binary PGM (P5), min-max normalized, rows top-to-bottom = increasing y."""
+    """8-bit binary PGM (P5), min-max normalized, rows top-to-bottom = increasing y,
+    scaled and written a block of grid rows at a time."""
     v = imap.values
     lo, hi = float(v.min()), float(v.max())
-    scaled = np.zeros_like(v) if hi == lo else (v - lo) / (hi - lo)
-    pix = np.round(255.0 * scaled).astype(np.uint8)
     ny, nx = v.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{nx} {ny}\n255\n".encode())
-        f.write(pix.tobytes())
+        for rows in imap.grid.row_blocks(32):          # three float64 temporaries a pixel
+            scaled = np.zeros_like(v[rows]) if hi == lo else (v[rows] - lo) / (hi - lo)
+            f.write(np.round(255.0 * scaled).astype(np.uint8))
 
 
 def save_spectrum_csv(space, path):

@@ -172,6 +172,7 @@ def test_calibrate_m0_is_exit_3(tmp_path, capsys):
     assert run("calibrate", "--preset", "fig4", "--signal-dim", "manual:0",
                "--out", str(tmp_path / "o"), *GRID_COARSE) == 3
     assert "numeric failure: M = 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_calibrate_requires_section(tmp_path):
@@ -459,6 +460,7 @@ def test_numeric_failure_is_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "o")) == 3
     assert "numeric failure: SVD of 16x16 MSR matrix failed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
@@ -467,6 +469,21 @@ def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(theory, "theory_map", no_memory)
     assert run("theory", "--preset", "fig1", "--out", str(tmp_path / "o")) == 3
     assert "Unable to allocate" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_numeric_failure_keeps_an_existing_out(tmp_path, monkeypatch):
+    # exit 3 removes only what the run created: the new parents of a new --out,
+    # and never a directory that was there before
+    def no_convergence(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "keep.txt").write_text("kept")
+    assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "old")) == 3
+    assert (tmp_path / "old" / "keep.txt").read_text() == "kept"
+    assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "old" / "a" / "b")) == 3
+    assert sorted(p.name for p in (tmp_path / "old").iterdir()) == ["keep.txt"]
 
 
 def test_cli_import_leaves_out_scipy_interpolate(tmp_path):

@@ -100,6 +100,15 @@ def test_msr_file_round_trip(tmp_path):
     assert (tmp_path / "msr.csv").read_bytes() == (tmp_path / "msr2.csv").read_bytes()
 
 
+def test_save_msr_rejects_directions_other_than_the_closed_set(tmp_path):
+    # the sidecar says "closed" and load_msr builds make_directions(n), so a
+    # matrix over the open set would come back over other angles
+    msr = assemble_msr(scene3(), 0.05, open_directions(16))
+    with pytest.raises(ValueError, match=r"make_directions\(16\)"):
+        save_msr(msr, tmp_path / "msr.csv", tmp_path / "msr.json")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_msr_matrix_rejects_non_finite_entries(bad):
     e = np.ones((4, 4), dtype=complex)

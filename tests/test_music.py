@@ -390,6 +390,51 @@ def test_map_csv_streams_rows():
     assert peak < 2e6
 
 
+def test_map_csv_streams_rows_of_map_values():
+    # test_map_csv_streams_rows' values lie below 1, where repr formats them;
+    # map values (>= 1) take the numpy kernel, whose temporaries the budget covers too
+    g = ImageGrid(-2, 2, -0.5, 0.5, 0.004)
+    m = ImageMap(grid=g, values=1 / np.random.default_rng(0).uniform(1e-3, 1, (251, 1001)), eta=1.0)
+    assert music._shortest_digits(m.values.ravel())[3].all()
+    tracemalloc.start()
+    try:
+        save_map_csv(m, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def _value_lines(v):
+    """The _value_chars texts of v, one a line, as bytes."""
+    chars = music._value_chars(v)
+    lines = np.empty(v.size, [("v", chars.dtype), ("end", "S1")])
+    lines["v"], lines["end"] = chars, b"\n"
+    lines = lines.view(np.uint8)
+    return lines[lines != 0].tobytes()
+
+
+def test_value_chars_match_repr():
+    rng = np.random.default_rng(22)
+    fast = 10.0 ** rng.uniform(0, 16, 1_000_000)       # the map value range
+    everywhere = np.ldexp(rng.uniform(0.5, 1, 100_000), rng.integers(-1074, 1025, 100_000))
+    pow10 = 10.0 ** np.arange(-30, 31)
+    pow2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    edges = np.concatenate([
+        pow10, np.nextafter(pow10, 0), np.nextafter(pow10, np.inf),
+        pow2, np.nextafter(pow2, 0), np.nextafter(pow2, np.inf),
+        np.arange(1, 20001), rng.integers(1, 2 ** 53, 20000), 2.0 ** 53 - np.arange(1000),
+        (rng.integers(1, 2 ** 50, 4000)[:, None] + [0.5, 0.25, 0.75, 0.125, 0.375]).ravel(),
+        np.arange(1, 100001) / 10, np.arange(1, 100001) / 100, np.arange(1, 100001) / 8,
+        1 / rng.uniform(0, 1, 20000), [1e6, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e16, 1e17],
+    ])
+    values = np.concatenate([fast, everywhere, -everywhere[:1000], edges, -edges[::10]])
+    # the exact kernel, not repr, formats almost every value of the map range
+    assert music._shortest_digits(fast)[3].mean() > 0.97
+    for chunk in np.array_split(values, 32):
+        assert _value_lines(chunk) == "".join(repr(v) + "\n" for v in chunk.tolist()).encode()
+
+
 def test_map_pgm_export(tmp_path):
     g = ImageGrid(0, 0.2, 0, 0.1, 0.1)
     m = ImageMap(grid=g, values=np.arange(6, dtype=float).reshape(2, 3), eta=1.0)
@@ -398,6 +443,20 @@ def test_map_pgm_export(tmp_path):
     assert data.startswith(b"P5\n3 2\n255\n")
     assert len(data) == len(b"P5\n3 2\n255\n") + 6
     assert data[-1] == 255 and data[len(b"P5\n3 2\n255\n")] == 0
+
+
+def test_map_pgm_streams_rows():
+    # the scaled map as float64 is 4 MB a copy; one block of rows stays near 2 MB
+    g = ImageGrid(-2, 2, -1, 1, 0.004)
+    m = ImageMap(grid=g, values=np.random.default_rng(0).random((501, 1001)), eta=1.0)
+    assert m.values.shape == (g.ys().size, g.xs().size)
+    tracemalloc.start()
+    try:
+        save_map_pgm(m, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_spectrum_csv(tmp_path):
