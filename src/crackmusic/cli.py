@@ -101,10 +101,6 @@ def load_config(args):
             if got != want:
                 raise ConfigError(f"MSR file {csv_path}: sidecar {sidecar} has {key} = {got!r}, "
                                   f"but the config's {where} is {want!r}")
-    if args.command in ("theory", "compare"):
-        # scipy's J0 for the theory maps: ~0.25 s of set-up, paid here and not inside
-        # the first stage that evaluates it (a BIE solve's H0 is numpy, special.hankel0)
-        import scipy.special   # noqa: F401
     return Run(cfg, scene, grid, plan, msr)
 
 

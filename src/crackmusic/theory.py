@@ -43,10 +43,11 @@ def _offsets(params, grid):
 def theory_map(params, grid):
     """(1 - sum_m J0(|eta x - k z_m|)^2)^(-1/2) over the grid, the radicand
     clamped at _EPS, a block of grid rows at a time."""
-    dx, dy = _offsets(params, grid)
-    rad = np.empty((dy.shape[0], dx.shape[0]))
-    for rows in grid.row_blocks(8 * dx.shape[1]):
-        j = bessel_j0(np.hypot(dx, dy[rows, None, :]))
+    xs, ys = params.eta * grid.xs(), params.eta * grid.ys()
+    kz = params.wavenumber * params.centers
+    rad = np.empty((ys.size, xs.size))
+    for rows in grid.row_blocks(8 * kz.shape[0]):
+        j = bessel_j0(xs, ys, kz, rows)
         j *= j
         rad[rows] = 1.0 - j.sum(axis=2)
     values = 1.0 / np.sqrt(np.maximum(rad, _EPS, out=rad), out=rad)

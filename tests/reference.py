@@ -9,6 +9,7 @@ import cmath
 import math
 
 import numpy as np
+from scipy.special import j0
 
 from crackmusic import DirectionSet
 
@@ -48,3 +49,12 @@ def direction_average(w, x, dirs):
         wts[0] = wts[-1] = 0.5
         return complex(np.sum(wts * phases) / (ang.size - 1))
     return complex(np.mean(phases))
+
+
+def closed_form(x, k, eta, centers):
+    """The closed form at one point x: the radicand 1 - sum_m J0(|eta x - k z_m|)^2
+    with scipy's J0, and the value radicand^(-1/2), the radicand clamped at 1e-12."""
+    z = np.asarray(centers, dtype=float)
+    d = np.hypot(eta * x[0] - k * z[:, 0], eta * x[1] - k * z[:, 1])
+    rad = 1.0 - float(np.sum(j0(d) ** 2))
+    return rad, 1.0 / math.sqrt(max(rad, 1e-12))

@@ -235,6 +235,9 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
     ({"signal_dim": {"method": "manual"}}, "signal_dim: 'm'"),
     ({"signal_dim": {"method": "threshold"}}, "signal_dim: 'tau'"),
     ({"signal_dim": {"method": "threshold", "tau": 2.0}}, "signal_dim/tau"),
+    ({"signal_dim": {"method": "log_gap", "m": 1}}, "signal_dim/m"),
+    ({"signal_dim": {"method": "manual", "m": 1, "tau": 0.5}}, "signal_dim/tau"),
+    ({"signal_dim": {"method": "threshold", "tau": 0.5, "m": 1}}, "signal_dim/m"),
     ({"forward": "bie", "bie_n": 64}, "'bie_n'"),
     ({"theory_variant": "linear"}, "'theory_variant'"),
     ({"exclusion_radius": 0.5}, "'exclusion_radius'"),
@@ -261,7 +264,8 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
     ({"scene": _arc_scene([[1, 1], [1, 1], [1.5, 1]])}, "scene: arc points 0 and 1 coincide"),
     ({"scene": _arc_scene([[1, 1], [1, 1], [1.5, 1]]), "forward": "bie"},
      "scene: arc points 0 and 1 coincide"),
-], ids=["manual-without-m", "threshold-without-tau", "threshold-above-1", "bie_n",
+], ids=["manual-without-m", "threshold-without-tau", "threshold-above-1",
+        "log-gap-with-m", "manual-with-tau", "threshold-with-m", "bie_n",
         "theory_variant", "exclusion_radius", "directions-mode", "calibration-kind", "calibration-origin",
         "snr-minus-inf", "snr-huge", "snr-minus-huge", "half-length-not-h",
         "segment-without-half-length", "segment-unknown-key",
@@ -513,17 +517,18 @@ def _python(code, cwd):
 
 
 def test_runs_without_a_bessel_function_leave_out_scipy_special(tmp_path):
-    # scipy.special is about 0.25 s and 25 MB of start-up: only scipy's J0
-    # (theory maps) needs it, and a BIE solve's H0 is special.hankel0, so the
-    # package, the CLI, a BIE forward and every run on its --msr data must load
-    # no scipy module at all
+    # scipy.special is about 0.25 s and 25 MB of start-up, and no command needs
+    # it: the theory maps' J0 is special.bessel_j0's plane-wave average and a
+    # BIE solve's H0 is special.hankel0, so the package, the CLI and every
+    # command, on preset or --msr data, must load no scipy module at all
     (tmp_path / "bie.json").write_text(json.dumps({**preset_config("fig4"), "forward": "bie"}))
     coarse = "--grid=-2,2,-2,2,0.04"
     runs = [["forward", "--config", "bie.json", "--out", "bie"],
             ["image", "--preset", "fig3", coarse], ["svd", "--preset", "fig1"],
             ["calibrate", "--preset", "fig4", coarse], ["forward", "--preset", "fig4"],
+            ["theory", "--preset", "fig4", coarse], ["compare", "--preset", "fig4", coarse],
             *([command, "--config", "bie.json", "--msr", "bie/msr.csv", coarse]
-              for command in ("image", "calibrate")),
+              for command in ("image", "calibrate", "compare")),
             ["svd", "--config", "bie.json", "--msr", "bie/msr.csv"]]
     code = ("import sys, crackmusic, crackmusic.cli as cli\n"
             "def scipy_loaded():\n"
@@ -537,17 +542,18 @@ def test_runs_without_a_bessel_function_leave_out_scipy_special(tmp_path):
     assert json.loads((tmp_path / "bie" / "msr.json").read_text())["provenance"] == "bie"
 
 
-@pytest.mark.parametrize("argv", [
-    ["theory", "--preset", "fig1"],
-    ["compare", "--preset", "fig1"],
-], ids=["theory", "compare"])
-def test_runs_with_a_bessel_function_load_scipy_special_in_set_up(tmp_path, argv):
-    # the other side of the predicate: the import is paid in load_config,
-    # never inside the first traced stage that evaluates J0
-    code = ("import sys, crackmusic.cli as cli\n"
-            f"cli.load_config(cli.build_parser().parse_args({[*argv, '--out', 'o']!r}))\n"
-            "print('scipy.special' in sys.modules)\n")
-    assert _python(code, tmp_path).split() == ["True"]
+def test_theory_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the closed form's J0 is matrix products: one and two BLAS threads must
+    # write the same bytes
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "crackmusic.cli", "theory", "--preset", "fig4",
+                        "--grid=-2,2,-2,2,0.04", "--out", f"t{threads}"],
+                       env=env, capture_output=True, check=True, cwd=tmp_path)
+        outputs.append((tmp_path / f"t{threads}" / "theory_eta20.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):

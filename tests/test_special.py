@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crackmusic import bessel_j0, hankel0, make_directions
+from crackmusic.special import _half_directions
 from reference import direction_average, open_directions
 
 # Independent oracle: trapezoid quadrature of (1/2pi) int_0^{2pi} e^{ix cos t} dt
@@ -14,38 +15,81 @@ def quad_j0(x, n=4096):
 J0_FIRST_ZERO = 2.404825557695773   # located by bisecting the quadrature oracle
 
 
+def j0_on_axis(x):
+    """J0(|x|) from the grid kernel: the one-row grid y = 0, the target at the origin."""
+    return bessel_j0(np.atleast_1d(x), [0.0], [(0.0, 0.0)], slice(None))[0, :, 0]
+
+
 def test_j0_at_origin():
-    assert bessel_j0(0.0) == 1.0
+    assert j0_on_axis(0.0)[0] == 1.0
 
 
 def test_j0_first_zero():
-    assert abs(bessel_j0(J0_FIRST_ZERO)) < 1e-9
+    assert abs(j0_on_axis(J0_FIRST_ZERO)[0]) < 1e-9
 
 
 def test_j0_at_30_matches_quadrature_oracle():
     # oracle value frozen from the 4096-node trapezoid rule
-    assert bessel_j0(30.0) == pytest.approx(-0.08636798358104017, abs=1e-9)
+    assert j0_on_axis(30.0)[0] == pytest.approx(-0.08636798358104017, abs=1e-9)
 
 
 def test_j0_accuracy_over_range():
     xs = np.linspace(0.0, 200.0, 1777)
-    vals = bessel_j0(xs)
+    vals = j0_on_axis(xs)
     for x, v in zip(xs[::7], vals[::7]):
         assert abs(v - quad_j0(x)) < 1e-10
 
 
 def test_j0_even_symmetry_and_bound():
     xs = np.linspace(-50.0, 50.0, 501)
-    v = bessel_j0(xs)
-    assert np.array_equal(v, bessel_j0(-xs))
+    v = j0_on_axis(xs)
+    assert np.array_equal(v, j0_on_axis(-xs))
     assert np.all(np.abs(v) <= 1.0 + 1e-15)
 
 
 def test_j0_rejects_non_finite():
-    with pytest.raises(ValueError):
-        bessel_j0(np.nan)
-    with pytest.raises(ValueError):
-        bessel_j0(np.inf)
+    good = ([0.0, 1.0], [0.0], [(0.0, 0.0)])   # xs, ys, centers
+    for i in range(3):
+        for bad in (np.nan, np.inf):
+            args = list(good)
+            args[i] = np.full(np.shape(good[i]), bad)
+            with pytest.raises(ValueError):
+                bessel_j0(*args, slice(None))
+
+
+def test_j0_grid_matches_scipy_j0():
+    # scipy's j0 (Cephes) as the oracle, on random grids and targets whose
+    # largest grid-to-target distance reaches about 500
+    from scipy.special import j0
+    rng = np.random.default_rng(23)
+    for half_width in (3.0, 40.0, 200.0):
+        xs = np.sort(rng.uniform(-half_width, half_width, 60))
+        ys = np.sort(rng.uniform(-half_width, half_width, 50))
+        centers = rng.uniform(-half_width, half_width, (7, 2))
+        got = bessel_j0(xs, ys, centers, slice(None))
+        assert got.shape == (50, 60, 7)
+        d = np.hypot(xs[:, None] - centers[:, 0], ys[:, None, None] - centers[:, 1])
+        assert np.max(np.abs(got - j0(d))) <= 1e-14
+    assert 450 < d.max() < 550   # the last grid's reach
+
+
+def test_j0_rows_do_not_depend_on_the_block():
+    # the direction count comes from the whole grid, so any split of the rows
+    # gives the whole grid's values
+    rng = np.random.default_rng(5)
+    xs, ys, centers = rng.uniform(-9, 9, 31), rng.uniform(-9, 9, 17), rng.uniform(-3, 3, (4, 2))
+    whole = bessel_j0(xs, ys, centers, slice(None))
+    for rows in (slice(0, 1), slice(3, 4), slice(5, 12), slice(16, 17)):
+        assert np.array_equal(bessel_j0(xs, ys, centers, rows), whole[rows])
+
+
+def test_j0_direction_count_leaves_a_negligible_alias():
+    # the average over Q directions is J0 + 2 sum_p i^{pQ} J_{pQ} cos(pQ phi):
+    # the rule's Q keeps |J_Q(r)| below 1e-17 at the largest distance r
+    from scipy.special import jv
+    for r in np.concatenate([np.linspace(0.0, 20.0, 201), np.linspace(20.0, 800.0, 781)]):
+        q = 2 * _half_directions(np.array([r]), np.array([0.0]), np.zeros((1, 2)))
+        assert abs(jv(q, r)) < 1e-17, (r, q)
 
 
 def _hankel0_sample():
@@ -98,7 +142,7 @@ def test_direction_average_at_j0_zero():
 def test_direction_average_matches_j0():
     dirs = make_directions(360)
     got = direction_average(12.5664, (0.5, 0.0), dirs)
-    assert abs(got - bessel_j0(6.2832)) < 1e-3
+    assert abs(got - j0_on_axis(6.2832)[0]) < 1e-3
 
 
 def test_direction_sum_identity_n64():
@@ -110,7 +154,7 @@ def test_direction_sum_identity_n64():
             r = rng.uniform(0.0, 30.0)
             phi = rng.uniform(0.0, 2 * np.pi)
             x = np.array([r * np.cos(phi), r * np.sin(phi)])
-            assert abs(direction_average(1.0, x, dirs) - bessel_j0(r)) < 1e-3
+            assert abs(direction_average(1.0, x, dirs) - j0_on_axis(r)[0]) < 1e-3
 
 
 def test_direction_average_rotation_invariant():

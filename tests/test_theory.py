@@ -9,8 +9,8 @@ from crackmusic import (ImageGrid, TheoryParams, assemble_msr, compare_maps,
 from crackmusic import music
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
-from crackmusic.special import bessel_j0
-from reference import open_directions
+from reference import closed_form, open_directions
+from scipy.special import j0
 
 K1 = 2 * np.pi / 0.5
 J0_FIRST_ZERO = 2.404825557695773
@@ -46,7 +46,7 @@ def test_value_at_j0_zero_is_one():
 def test_value_matches_j0_formula():
     p = TheoryParams(wavenumber=1.0, eta=1.0, centers=[(0.0, 0.0)])
     # |eta x - k z| = 10
-    expect = 1.0 / np.sqrt(1.0 - bessel_j0(10.0) ** 2)
+    expect = 1.0 / np.sqrt(1.0 - j0(10.0) ** 2)
     assert value_at(p, (10.0, 0.0)) == pytest.approx(expect, rel=1e-13)
 
 
@@ -54,9 +54,26 @@ def test_value_multi_center_sum():
     p = TheoryParams(wavenumber=2.0, eta=3.0, centers=[(1.0, 0.0), (0.0, -1.0)])
     x = np.array([0.4, 0.2])
     rad = 1.0 - sum(
-        bessel_j0(np.linalg.norm(3.0 * x - 2.0 * np.array(z))) ** 2
+        j0(np.linalg.norm(3.0 * x - 2.0 * np.array(z))) ** 2
         for z in [(1.0, 0.0), (0.0, -1.0)])
     assert value_at(p, x) == pytest.approx(1.0 / np.sqrt(rad), rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_map_matches_the_closed_form_point_by_point(name):
+    # the reference sums scipy's J0 of each distance; 1e-9 relative away from
+    # the peaks (radicand >= 1e-6), and the ceiling 1e6 where it is clamped
+    cfg = preset_config(name)
+    scene = scene_from_dict(cfg["scene"])
+    g = ImageGrid(-2.0, 2.0, -2.0, 2.0, 0.04)
+    for eta in cfg["etas"]:
+        values = theory_map(TheoryParams(wavenumber=scene.wavenumber, eta=eta,
+                                         centers=scene.centers()), g).values
+        rad, want = np.array([[closed_form((x, y), scene.wavenumber, eta, scene.centers())
+                               for x in g.xs()] for y in g.ys()]).transpose(2, 0, 1)
+        away, clamped = rad >= 1e-6, rad <= 1e-12
+        assert np.all(np.abs(values[away] - want[away]) <= 1e-9 * want[away])
+        assert np.all(values[clamped] == 1e6)
 
 
 def test_params_validation():
