@@ -64,6 +64,10 @@ def load_config(args):
         jsonschema.validators.validator_for(schema)(schema).iter_errors(cfg))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "top level"
+        if error.validator == "not" and error.validator_value == {}:
+            # the schema forbids a key outright only where a signal_dim method does not read it
+            method = cfg["signal_dim"].get("method")
+            raise ConfigError(f"{where} is not read by method {method!r}")
         raise ConfigError(f"config does not match schema at {where}: {error.message}")
     for where, v in _non_finite(cfg):
         if not (where == "snr_db" and v == np.inf):   # +inf dB means no noise

@@ -116,9 +116,11 @@ def imaging_map(space, grid, eta, dirs):
     The steering phases separate, exp(i eta theta.x) = exp(i eta x cos)
     exp(i eta y sin), so only an (nx, N) and an (ny, N) factor are built.
     |P_noise f| is the norm of f against the N - M trailing left singular
-    vectors, taken a block of grid rows at a time.  A block's (points, N)
-    complex steering array fits ImageGrid.row_blocks' budget, so the kernel's
-    temporaries stay a few MB whatever the grid size.
+    vectors.  The y factor is folded into those vectors, so a grid row is one
+    (nx, N) by (N, N - M) product and no steering vector is formed.  Blocks of
+    grid rows hold at most ImageGrid.row_blocks' budget at 16 N bytes per
+    point, which bounds the block's complex (points, N - M) product, so the
+    kernel's temporaries stay a few MB whatever the grid size.
     """
     if space.m is None:
         raise ValueError("signal dimension M not selected")
@@ -135,10 +137,10 @@ def imaging_map(space, grid, eta, dirs):
         ey = np.exp(1j * eta * np.outer(ys, th[:, 1])) / np.sqrt(th.shape[0])
         noise = space.left_vectors[:, space.m:].conj()
         for rows in grid.row_blocks(16 * th.shape[0]):
-            f = (ey[rows, None, :] * ex).reshape(-1, th.shape[0])
-            p = (f @ noise).view(np.float64)
-            r = np.sqrt(np.einsum("ij,ij->i", p, p))
-            values[rows] = 1.0 / np.maximum(r, EPS_CLAMP).reshape(-1, xs.size)
+            w = ey[rows, :, None] * noise          # C order, (rows, N, N - M)
+            p = np.matmul(ex, w).view(np.float64)   # one (nx, N) @ (N, N - M) per row
+            r = np.sqrt(np.einsum("rij,rij->ri", p, p))
+            values[rows] = 1.0 / np.maximum(r, EPS_CLAMP)
     return ImageMap(grid=grid, values=values, eta=eta)
 
 

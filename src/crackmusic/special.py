@@ -65,11 +65,15 @@ def bessel_j0(xs, ys, centers, rows):
     column xs and every target: shape (len(ys[rows]), len(xs), M).
 
     The plane-wave average over Q = 2h equispaced directions theta_q = pi q / h
-    is J0(|v|) = (1/h) Re sum_{q<h} exp(i v . theta_q) (the other half turn
-    gives the conjugates) up to 2 |J_Q(|v|)|.  The exponential separates into
-    exp(i x cos) exp(i y sin) exp(-i z . theta), so a grid row is the real
-    product [cos, -sin](x cos) @ [Re w; Im w] with w = exp(i y sin - i z . theta),
-    an (nx, 2h) by (2h, M) product.  h depends on the whole grid, not on rows
+    is J0(|v|) = (1/h) sum_{q<h} cos(v . theta_q) (the other half turn gives
+    the same terms) up to 2 |J_Q(|v|)|.  theta_q and pi - theta_q = theta_{h-q}
+    add to 2 cos(v_x c_q) cos(v_y s_q), so with R = floor(h/2) + 1
+        J0(|v|) = (1/h) sum_{q<R} weight_q cos(v_x c_q) cos(v_y s_q),
+    weight 1 for q = 0 and for q = h/2 (h even), 2 otherwise.  With v = (x - z_x,
+    y - z_y), a grid row is the real product [cos, sin](x c) @ [weight
+    cos((y - z_y) s) cos(z_x c); ... sin(z_x c)], an (nx, 2R) by (2R, M)
+    product, and cos((y - z_y) s) is taken by angle addition so that a row
+    costs R cosines and R sines.  h depends on the whole grid, not on rows
     (_half_directions), so a row's values do not depend on the block it is in.
     Rejects non-finite input.
     """
@@ -78,14 +82,20 @@ def bessel_j0(xs, ys, centers, rows):
     if not all(np.all(np.isfinite(arr)) for arr in (xs, ys, centers)):
         raise ValueError("bessel_j0 requires finite input")
     h = _half_directions(xs, ys, centers)
-    theta = (np.pi / h) * np.arange(h)
+    theta = (np.pi / h) * np.arange(h // 2 + 1)
     cos, sin = np.cos(theta), np.sin(theta)
+    weight = np.full(theta.size, 2.0)
+    weight[0] = 1.0
+    if h % 2 == 0:
+        weight[-1] = 1.0            # theta = pi/2 is its own partner
     ex = xs[:, None] * cos
-    a = np.concatenate([np.cos(ex), -np.sin(ex)], axis=1)                  # (nx, 2h)
-    ez = np.exp(-1j * (centers[:, :1] * cos + centers[:, 1:] * sin)).T      # (h, M)
-    wc = np.exp(1j * (ys[rows, None] * sin))[:, :, None] * ez               # (rows, h, M)
-    w = np.empty((wc.shape[0], 2 * h, wc.shape[2]))   # C order: each row the same BLAS call
-    w[:, :h], w[:, h:] = wc.real, wc.imag
+    a = np.concatenate([np.cos(ex), np.sin(ex)], axis=1)                   # (nx, 2R)
+    zx, zy = centers[:, 0] * cos[:, None], centers[:, 1] * sin[:, None]     # (R, M)
+    bx = weight[:, None] * np.stack([np.cos(zx), np.sin(zx)])               # (2, R, M)
+    ey = ys[rows, None] * sin                                               # (rows, R)
+    g = np.cos(ey)[:, :, None] * np.cos(zy) + np.sin(ey)[:, :, None] * np.sin(zy)
+    # C order, (rows, 2R, M): each row the same BLAS call
+    w = (g[:, None] * bx).reshape(g.shape[0], 2 * theta.size, g.shape[2])
     out = np.matmul(a, w)
     out /= h
     return out

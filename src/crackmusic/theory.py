@@ -48,8 +48,7 @@ def theory_map(params, grid):
     rad = np.empty((ys.size, xs.size))
     for rows in grid.row_blocks(8 * kz.shape[0]):
         j = bessel_j0(xs, ys, kz, rows)
-        j *= j
-        rad[rows] = 1.0 - j.sum(axis=2)
+        rad[rows] = 1.0 - np.einsum("rim,rim->ri", j, j)
     values = 1.0 / np.sqrt(np.maximum(rad, _EPS, out=rad), out=rad)
     return ImageMap(grid=grid, values=values, eta=params.eta)
 

@@ -235,9 +235,11 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
     ({"signal_dim": {"method": "manual"}}, "signal_dim: 'm'"),
     ({"signal_dim": {"method": "threshold"}}, "signal_dim: 'tau'"),
     ({"signal_dim": {"method": "threshold", "tau": 2.0}}, "signal_dim/tau"),
-    ({"signal_dim": {"method": "log_gap", "m": 1}}, "signal_dim/m"),
-    ({"signal_dim": {"method": "manual", "m": 1, "tau": 0.5}}, "signal_dim/tau"),
-    ({"signal_dim": {"method": "threshold", "tau": 0.5, "m": 1}}, "signal_dim/m"),
+    ({"signal_dim": {"method": "log_gap", "m": 1}}, "signal_dim/m is not read by method 'log_gap'"),
+    ({"signal_dim": {"method": "manual", "m": 1, "tau": 0.5}},
+     "signal_dim/tau is not read by method 'manual'"),
+    ({"signal_dim": {"method": "threshold", "tau": 0.5, "m": 1}},
+     "signal_dim/m is not read by method 'threshold'"),
     ({"forward": "bie", "bie_n": 64}, "'bie_n'"),
     ({"theory_variant": "linear"}, "'theory_variant'"),
     ({"exclusion_radius": 0.5}, "'exclusion_radius'"),
@@ -542,18 +544,21 @@ def test_runs_without_a_bessel_function_leave_out_scipy_special(tmp_path):
     assert json.loads((tmp_path / "bie" / "msr.json").read_text())["provenance"] == "bie"
 
 
-def test_theory_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the closed form's J0 is matrix products: one and two BLAS threads must
-    # write the same bytes
+@pytest.mark.parametrize("command, preset", [("theory", "fig4"), ("image", "fig3"),
+                                             ("calibrate", "fig4")])
+def test_map_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command, preset):
+    # the closed form's J0 and the imaging map are matrix products: one and
+    # two BLAS threads must write the same bytes
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
                "OPENBLAS_NUM_THREADS": threads}
-        subprocess.run([sys.executable, "-m", "crackmusic.cli", "theory", "--preset", "fig4",
+        subprocess.run([sys.executable, "-m", "crackmusic.cli", command, "--preset", preset,
                         "--grid=-2,2,-2,2,0.04", "--out", f"t{threads}"],
                        env=env, capture_output=True, check=True, cwd=tmp_path)
-        outputs.append((tmp_path / f"t{threads}" / "theory_eta20.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+        out = tmp_path / f"t{threads}"
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) > 1 and outputs[0] == outputs[1]
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):

@@ -73,6 +73,18 @@ def test_j0_grid_matches_scipy_j0():
     assert 450 < d.max() < 550   # the last grid's reach
 
 
+@pytest.mark.parametrize("half_width, h", [(38.0, 59), (39.0, 60)])
+def test_j0_matches_scipy_j0_for_odd_and_even_half_direction_counts(half_width, h):
+    # the kernel pairs theta with pi - theta; theta = pi/2 is its own partner
+    # only when h is even, so its weight shows on the second grid alone
+    from scipy.special import j0
+    xs, ys = np.linspace(-half_width, half_width, 41), np.linspace(-half_width, half_width, 37)
+    centers = np.array([(0.3, -0.2), (1.0, 0.5), (-2.5, 1.5)])
+    assert _half_directions(xs, ys, centers) == h
+    d = np.hypot(xs[:, None] - centers[:, 0], ys[:, None, None] - centers[:, 1])
+    assert np.max(np.abs(bessel_j0(xs, ys, centers, slice(None)) - j0(d))) <= 1e-14
+
+
 def test_j0_rows_do_not_depend_on_the_block():
     # the direction count comes from the whole grid, so any split of the rows
     # gives the whole grid's values
