@@ -2,7 +2,7 @@
 
 from .calibrate import CalibrationPlan, calibrate_and_image, estimate_k
 from .forward_asym import MsrMatrix, assemble_msr, load_msr, save_msr
-from .forward_bie import ArcDensity, assemble_msr_bie, farfield_bie, solve_scatter
+from .forward_bie import assemble_msr_bie, farfield_bie, solve_scatter
 from .music import (ImageGrid, ImageMap, SignalSpace, find_peaks, imaging_map,
                     select_signal_dim, svd_msr)
 from .noise import add_awgn
@@ -12,8 +12,8 @@ from .special import bessel_j0, hankel0
 from .theory import TheoryParams, compare_maps, phase_distance, theory_map
 
 __all__ = [
-    "ArcDensity", "CalibrationPlan", "DirectionSet", "ImageGrid", "ImageMap",
-    "MsrMatrix", "ParametricCrack", "Scene", "SegmentCrack", "SignalSpace",
+    "CalibrationPlan", "DirectionSet", "ImageGrid", "ImageMap", "MsrMatrix",
+    "ParametricCrack", "Scene", "SegmentCrack", "SignalSpace",
     "TheoryParams", "add_awgn", "assemble_msr", "assemble_msr_bie", "bessel_j0",
     "calibrate_and_image", "compare_maps", "estimate_k",
     "farfield_bie", "find_peaks", "hankel0", "imaging_map", "incident_field", "load_msr",

@@ -86,7 +86,7 @@ def load_config(args):
             raise ConfigError(f"etas {first[tag]!r} and {eta!r} share the file name tag eta{tag}")
         first[tag] = eta
     m, n = cfg["signal_dim"].get("m", 0), cfg["directions"]["n"]
-    if args.command in ("image", "svd", "compare", "calibrate") and m > n:   # they choose M
+    if "--signal-dim" in _COMMANDS[args.command][1].split() and m > n:   # they choose M
         raise ConfigError(f"signal_dim/m is {m}, but M can be at most directions.n = {n}")
     plan = msr = None
     if args.command == "calibrate":
@@ -96,14 +96,12 @@ def load_config(args):
     scene = _checked("scene", scene_from_dict, cfg["scene"])
     grid = _checked("grid", ImageGrid, **cfg["grid"])
     if args.msr:   # the data must match the config's N and wavenumber
-        csv_path = Path(args.msr)
-        sidecar = csv_path.with_suffix(".json")
-        msr = _checked(f"MSR file {csv_path}", load_msr, csv_path, sidecar)
+        msr = _checked(f"MSR file {args.msr}", load_msr, args.msr)
         for key, got, where, want in (
                 ("n", msr.n, "directions.n", cfg["directions"]["n"]),
                 ("wavenumber", msr.wavenumber, "scene.wavenumber", cfg["scene"]["wavenumber"])):
             if got != want:
-                raise ConfigError(f"MSR file {csv_path}: sidecar {sidecar} has {key} = {got!r}, "
+                raise ConfigError(f"MSR file {args.msr}: its sidecar has {key} = {got!r}, "
                                   f"but the config's {where} is {want!r}")
     return Run(cfg, scene, grid, plan, msr)
 
@@ -182,7 +180,7 @@ def _write_json(obj, path):
 
 def cmd_forward(run, out):
     msr = compute_msr(run)
-    save_msr(msr, out / "msr.csv", out / "msr.json")
+    save_msr(msr, out / "msr.csv")
     print(out / "msr.csv")
     return 0
 

@@ -12,6 +12,7 @@ and factors as c * A A^T with A[n, m] = exp(i k theta_n . z_m).
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def assemble_msr(scene, h, dirs):
 
 
 # --- MSR file format: the complex matrix viewed as interleaved re,im float64
-# columns, one CSV row of repr floats per matrix row, + JSON sidecar ---
+# columns, one CSV row of repr floats per matrix row, + JSON sidecar (.json) ---
 
 CONVENTION = "obs=-inc"
 _SIDECAR = {     # key: (test of its JSON value, what it must be); type(): a JSON true is a bool
@@ -68,7 +69,7 @@ _SIDECAR = {     # key: (test of its JSON value, what it must be); type(): a JSO
 }
 
 
-def save_msr(msr, csv_path, sidecar_path):
+def save_msr(msr, csv_path):
     """Write the file pair; the sidecar names the closed direction set, the only
     one load_msr builds, so a matrix over other angles is a ValueError."""
     if not np.array_equal(msr.directions.angles, make_directions(msr.n).angles):
@@ -85,12 +86,13 @@ def save_msr(msr, csv_path, sidecar_path):
         "direction_mode": "closed",
         **msr.extra,
     }
-    with open(sidecar_path, "w") as f:
+    with open(Path(csv_path).with_suffix(".json"), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
 
 
-def load_msr(csv_path, sidecar_path):
+def load_msr(csv_path):
     """Read an MSR file pair; ValueError names what disagrees with the format."""
+    sidecar_path = Path(csv_path).with_suffix(".json")
     with open(sidecar_path) as f:
         meta = json.load(f)
     if not isinstance(meta, dict):

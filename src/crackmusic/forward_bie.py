@@ -24,8 +24,6 @@ expansion's far-field convention differs from the plain Sommerfeld one by
 sqrt(8 pi k) e^{-i pi/4} and a sign).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .forward_asym import MsrMatrix
@@ -34,24 +32,6 @@ from .special import hankel0
 
 _EULER_GAMMA = 0.5772156649015329
 _N_START, _N_MAX, _TOL = 64, 4096, 1e-6   # auto node-count refinement
-
-
-@dataclass(frozen=True)
-class ArcDensity:
-    """Layer density of one crack at one wavenumber, by its values at the nodes.
-
-    values has shape (n, n_inc): one column per incident direction.
-    """
-
-    nodes: np.ndarray
-    values: np.ndarray
-    wavenumber: float
-    crack: object
-    inc: np.ndarray               # (n_inc, 2) incident directions
-
-    @property
-    def n(self):
-        return self.nodes.size
 
 
 def _cheb_nodes(n):
@@ -86,11 +66,12 @@ def _operator_rows(crack, k, tau, nodes):
     return (np.pi / n) * (m - j0 * log_w / (2.0 * np.pi))
 
 
-def solve_scatter(crack, k, inc, n=64):
+def solve_scatter(crack, k, inc, n):
     """Solve the boundary integral equation for one crack and >= 1 incidences.
 
     inc may be a single unit vector or an (n_inc, 2) array.  n is the number
-    of Chebyshev nodes (even, >= 8).
+    of Chebyshev nodes (even, >= 8).  Returns the density's values at the
+    nodes _cheb_nodes(n), shape (n, n_inc): one column per incidence.
     """
     if k <= 0:
         raise ValueError("wavenumber must be positive")
@@ -101,26 +82,27 @@ def solve_scatter(crack, k, inc, n=64):
     a = _operator_rows(crack, k, t, t)
     rhs = -incident_field(crack.point(t), inc, k)
     try:
-        values = np.linalg.solve(a, rhs)
+        return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as e:
         raise ArithmeticError(
             f"BIE system solve failed (near-resonant or degenerate geometry): {e}") from e
-    return ArcDensity(nodes=t, values=values, wavenumber=k, crack=crack, inc=inc)
 
 
-def boundary_field(density, tau):
-    """Total field u_inc + u_s on the crack at parameters tau (residual check)."""
+def boundary_field(crack, k, inc, values, tau):
+    """Total field u_inc + u_s on the crack at parameters tau (residual check),
+    for solve_scatter(crack, k, inc, n)'s values."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    k = density.wavenumber
-    u_s = _operator_rows(density.crack, k, tau, density.nodes) @ density.values
-    return incident_field(density.crack.point(tau), density.inc, k) + u_s
+    u_s = _operator_rows(crack, k, tau, _cheb_nodes(values.shape[0])) @ values
+    return incident_field(crack.point(tau), np.atleast_2d(inc), k) + u_s
 
 
-def farfield_bie(density, obs):
-    """Far-field values at one direction or an (n_obs, 2) array of them, shape (n_obs, n_inc)."""
+def farfield_bie(crack, k, values, obs):
+    """Far-field values of solve_scatter(crack, k, inc, n)'s values at one
+    direction or an (n_obs, 2) array of them, shape (n_obs, n_inc)."""
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    phase = np.exp(-1j * density.wavenumber * (density.crack.point(density.nodes) @ obs.T))
-    return -(np.pi / density.n) * (phase.T @ density.values)
+    n = values.shape[0]
+    phase = np.exp(-1j * k * (crack.point(_cheb_nodes(n)) @ obs.T))
+    return -(np.pi / n) * (phase.T @ values)
 
 
 def _farfield_block(crack, k, th):
@@ -130,10 +112,10 @@ def _farfield_block(crack, k, th):
     max|F_2n - F_n| < _TOL max|F_2n|; the finer block F_2n is the one returned.
     """
     n = _N_START
-    prev = farfield_bie(solve_scatter(crack, k, th, n), -th)
+    prev = farfield_bie(crack, k, solve_scatter(crack, k, th, n), -th)
     while n < _N_MAX:
         n *= 2
-        cur = farfield_bie(solve_scatter(crack, k, th, n), -th)
+        cur = farfield_bie(crack, k, solve_scatter(crack, k, th, n), -th)
         if np.max(np.abs(cur - prev)) < _TOL * np.max(np.abs(cur)):
             return cur, n
         prev = cur

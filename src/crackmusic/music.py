@@ -40,6 +40,10 @@ class ImageGrid:
             raise ValueError("grid step must be positive")
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise ValueError("grid ranges must be nonempty")
+        spans = ((self.x1 - self.x0) / self.step, (self.y1 - self.y0) / self.step)
+        if not all(np.isfinite(spans)):
+            raise ValueError(f"grid (x1 - x0) / step and (y1 - y0) / step are {spans}, "
+                             "but both must be finite")
 
     def _axis(self, lo, hi):
         """lo, lo + step, ... up to hi; a step count within 1e-9 of an integer
@@ -63,7 +67,6 @@ class ImageGrid:
 class ImageMap:
     grid: ImageGrid
     values: np.ndarray            # (ny, nx), values[iy, ix] at (xs[ix], ys[iy])
-    eta: float
 
 
 def svd_msr(msr):
@@ -141,7 +144,7 @@ def imaging_map(space, grid, eta, dirs):
             p = np.matmul(ex, w).view(np.float64)   # one (nx, N) @ (N, N - M) per row
             r = np.sqrt(np.einsum("rij,rij->ri", p, p))
             values[rows] = 1.0 / np.maximum(r, EPS_CLAMP)
-    return ImageMap(grid=grid, values=values, eta=eta)
+    return ImageMap(grid=grid, values=values)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def theory_map(params, grid):
         j = bessel_j0(xs, ys, kz, rows)
         rad[rows] = 1.0 - np.einsum("rim,rim->ri", j, j)
     values = 1.0 / np.sqrt(np.maximum(rad, _EPS, out=rad), out=rad)
-    return ImageMap(grid=grid, values=values, eta=params.eta)
+    return ImageMap(grid=grid, values=values)
 
 
 def phase_distance(params, grid):

@@ -174,13 +174,13 @@ def test_criterion_07_forward_solver_soundness():
     (n,) = assemble_msr_bie(Scene(cracks=(crack,), wavenumber=k),
                             make_directions(8)).extra["bie_n"]
     inc = np.array([1.0, 0.0])
-    dens = solve_scatter(crack, k, inc, n=n)
+    values = solve_scatter(crack, k, inc, n=n)
     tau = np.linspace(-0.95, 0.95, 33)
-    residual = float(np.max(np.abs(boundary_field(dens, tau))))
+    residual = float(np.max(np.abs(boundary_field(crack, k, inc, values, tau))))
 
     x = np.array([0.6, 0.8])
-    a = farfield_bie(solve_scatter(crack, k, np.array([0.0, 1.0]), n=n), x)[0, 0]
-    b = farfield_bie(solve_scatter(crack, k, -x, n=n), np.array([0.0, -1.0]))[0, 0]
+    a = farfield_bie(crack, k, solve_scatter(crack, k, np.array([0.0, 1.0]), n=n), x)[0, 0]
+    b = farfield_bie(crack, k, solve_scatter(crack, k, -x, n=n), np.array([0.0, -1.0]))[0, 0]
     recip = abs(a - b) / abs(a)
 
     obs = np.array([np.cos(0.3), np.sin(0.3)])
@@ -193,7 +193,7 @@ def test_criterion_07_forward_solver_soundness():
         small = SegmentCrack(center=(0.0, 0.0), half_length=h)
         sc = Scene(cracks=(small,), wavenumber=k)
         ua = asym_farfield(obs, inc2, sc, h)
-        ub = farfield_bie(solve_scatter(small, k, inc2, n=32), obs)[0, 0]
+        ub = farfield_bie(small, k, solve_scatter(small, k, inc2, n=32), obs)[0, 0]
         devs.append(abs(ub - ua) / abs(ua))
         ratios.append(devs[-1] * abs(np.log(h / 2) + c_next) / abs(c_next))
     decreasing = devs[0] > devs[1] > devs[2]

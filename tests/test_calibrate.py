@@ -3,7 +3,7 @@ import pytest
 
 from crackmusic import (CalibrationPlan, ImageGrid, Scene, SegmentCrack,
                         assemble_msr, calibrate_and_image, estimate_k,
-                        find_peaks, make_directions, music,
+                        find_peaks, imaging_map, make_directions, music,
                         select_signal_dim, svd_msr)
 
 K3 = 2 * np.pi / 0.4
@@ -53,10 +53,10 @@ def test_calibrate_small_scatterer_recovers_k():
     msr = _segment_msr((0.0, -1.0))
     plan = CalibrationPlan(y=(0.0, -1.0), eta=20.0)
     grid = ImageGrid(-2, 2, -2, 2, 0.01)
-    k_hat, remap, info = calibrate_and_image(msr, plan, grid,
-                                             select_signal_dim(svd_msr(msr), "manual", m=1))
+    space = select_signal_dim(svd_msr(msr), "manual", m=1)
+    k_hat, remap, info = calibrate_and_image(msr, plan, grid, space)
     assert abs(k_hat - K3) / K3 < 0.05
-    assert remap.eta == k_hat
+    assert np.array_equal(remap.values, imaging_map(space, grid, k_hat, msr.directions).values)
     assert info["k_hat"] == k_hat
     assert info["eta_used"] == 20.0
     assert not info["ambiguous"]

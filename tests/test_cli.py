@@ -44,7 +44,7 @@ def write_cfg(tmp_path, **overrides):
 def test_forward_writes_msr(tmp_path):
     out = tmp_path / "out"
     assert run("forward", "--preset", "fig1", "--out", str(out)) == 0
-    msr = load_msr(out / "msr.csv", out / "msr.json")
+    msr = load_msr(out / "msr.csv")
     assert msr.entries.shape == (16, 16)
     meta = json.loads((out / "msr.json").read_text())
     assert meta["provenance"] == "asymptotic"
@@ -228,6 +228,15 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
         assert e.value.code == 2
     else:
         assert run(*argv) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", ["-1e308,1e308,-1,1,1e300", "-1,1,-1,1,1e-320"],
+                         ids=["span-overflows", "step-count-overflows"])
+def test_grid_with_an_infinite_step_count_is_exit_2(tmp_path, capsys, grid):
+    # every bound is finite, but x1 - x0 or (x1 - x0) / step is not
+    assert run("image", "--preset", "fig1", f"--grid={grid}", "--out", str(tmp_path / "o")) == 2
+    assert "grid: grid (x1 - x0) / step and (y1 - y0) / step are (inf, " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

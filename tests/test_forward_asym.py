@@ -88,14 +88,14 @@ def test_reciprocity_of_asymptotic_model():
 
 def test_msr_file_round_trip(tmp_path):
     msr = assemble_msr(scene3(), 0.05, make_directions(16))
-    save_msr(msr, tmp_path / "msr.csv", tmp_path / "msr.json")
-    back = load_msr(tmp_path / "msr.csv", tmp_path / "msr.json")
+    save_msr(msr, tmp_path / "msr.csv")
+    back = load_msr(tmp_path / "msr.csv")
     # repr() floats round-trip bit-exactly, which beats the 1e-15 contract
     assert np.array_equal(back.entries, msr.entries)
     assert back.wavenumber == msr.wavenumber
     assert back.provenance == "asymptotic"
     assert np.array_equal(back.directions.angles, msr.directions.angles)
-    save_msr(back, tmp_path / "msr2.csv", tmp_path / "msr2.json")
+    save_msr(back, tmp_path / "msr2.csv")
     assert (tmp_path / "msr.json").read_bytes() == (tmp_path / "msr2.json").read_bytes()
     assert (tmp_path / "msr.csv").read_bytes() == (tmp_path / "msr2.csv").read_bytes()
 
@@ -105,7 +105,7 @@ def test_save_msr_rejects_directions_other_than_the_closed_set(tmp_path):
     # matrix over the open set would come back over other angles
     msr = assemble_msr(scene3(), 0.05, open_directions(16))
     with pytest.raises(ValueError, match=r"make_directions\(16\)"):
-        save_msr(msr, tmp_path / "msr.csv", tmp_path / "msr.json")
+        save_msr(msr, tmp_path / "msr.csv")
     assert not any(tmp_path.iterdir())
 
 

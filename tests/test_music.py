@@ -332,7 +332,7 @@ def test_peak_count_matches_crack_count_across_eta():
 
 def test_find_peaks_constant_map_flagged():
     g = ImageGrid(-1, 1, -1, 1, 0.1)
-    m = ImageMap(grid=g, values=np.ones((21, 21)), eta=1.0)
+    m = ImageMap(grid=g, values=np.ones((21, 21)))
     pk = find_peaks(m, 2)
     assert pk.peaks == () and not pk.complete
 
@@ -352,7 +352,7 @@ def test_find_peaks_single_crack():
 def test_map_csv_bytes_match_csv_writer(tmp_path):
     g = ImageGrid(-0.1, 0.2, 0.0, 0.1, 0.1)
     vals = np.array([[1.0, 0.1, 1e-300, 1e20], [2.5e-7, 123456789.125, 1 / 3, 7.0]])
-    m = ImageMap(grid=g, values=vals, eta=1.0)
+    m = ImageMap(grid=g, values=vals)
     save_map_csv(m, tmp_path / "new.csv")
     with open(tmp_path / "ref.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -367,7 +367,7 @@ def test_map_csv_bytes_match_csv_writer(tmp_path):
 
 def test_map_csv_export(tmp_path):
     g = ImageGrid(0, 0.2, 0, 0.1, 0.1)
-    m = ImageMap(grid=g, values=np.arange(6, dtype=float).reshape(2, 3), eta=1.0)
+    m = ImageMap(grid=g, values=np.arange(6, dtype=float).reshape(2, 3))
     save_map_csv(m, tmp_path / "m.csv")
     lines = (tmp_path / "m.csv").read_text().strip().splitlines()
     assert lines[0] == "x,y,value"
@@ -375,11 +375,19 @@ def test_map_csv_export(tmp_path):
     assert lines[1].split(",") == ["0.0", "0.0", "0.0"]
 
 
-def test_map_csv_streams_rows():
-    # 1001-point rows; a quarter of a 1001^2 map keeps the traced write near 1 s
+@pytest.mark.parametrize("values, kernel", [
+    (lambda rng: rng.random((251, 1001)), False),
+    (lambda rng: 1 / rng.uniform(1e-3, 1, (251, 1001)), True),
+], ids=["repr-below-1", "kernel-map-values"])
+def test_map_csv_streams_row_blocks(values, kernel):
+    # 1001-point rows; a quarter of a 1001^2 map keeps the traced write near 1 s.
+    # Values in [0, 1) take the repr fallback; map values (>= 1) take the numpy
+    # kernel, whose temporaries the budget covers too
     g = ImageGrid(-2, 2, -0.5, 0.5, 0.004)
-    m = ImageMap(grid=g, values=np.random.default_rng(0).random((251, 1001)), eta=1.0)
+    m = ImageMap(grid=g, values=values(np.random.default_rng(0)))
     assert m.values.shape == (g.ys().size, g.xs().size)
+    fast = music._shortest_digits(m.values.ravel())[3]   # the values the kernel formats
+    assert fast.all() == fast.any() == kernel
     tracemalloc.start()
     try:
         save_map_csv(m, os.devnull)
@@ -387,21 +395,6 @@ def test_map_csv_streams_rows():
     finally:
         tracemalloc.stop()
     # the whole map as Python floats is 8 MB; one row of them is 32 kB
-    assert peak < 2e6
-
-
-def test_map_csv_streams_rows_of_map_values():
-    # test_map_csv_streams_rows' values lie below 1, where repr formats them;
-    # map values (>= 1) take the numpy kernel, whose temporaries the budget covers too
-    g = ImageGrid(-2, 2, -0.5, 0.5, 0.004)
-    m = ImageMap(grid=g, values=1 / np.random.default_rng(0).uniform(1e-3, 1, (251, 1001)), eta=1.0)
-    assert music._shortest_digits(m.values.ravel())[3].all()
-    tracemalloc.start()
-    try:
-        save_map_csv(m, os.devnull)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert peak < 2e6
 
 
@@ -437,7 +430,7 @@ def test_value_chars_match_repr():
 
 def test_map_pgm_export(tmp_path):
     g = ImageGrid(0, 0.2, 0, 0.1, 0.1)
-    m = ImageMap(grid=g, values=np.arange(6, dtype=float).reshape(2, 3), eta=1.0)
+    m = ImageMap(grid=g, values=np.arange(6, dtype=float).reshape(2, 3))
     save_map_pgm(m, tmp_path / "m.pgm")
     data = (tmp_path / "m.pgm").read_bytes()
     assert data.startswith(b"P5\n3 2\n255\n")
@@ -448,7 +441,7 @@ def test_map_pgm_export(tmp_path):
 def test_map_pgm_streams_rows():
     # the scaled map as float64 is 4 MB a copy; one block of rows stays near 2 MB
     g = ImageGrid(-2, 2, -1, 1, 0.004)
-    m = ImageMap(grid=g, values=np.random.default_rng(0).random((501, 1001)), eta=1.0)
+    m = ImageMap(grid=g, values=np.random.default_rng(0).random((501, 1001)))
     assert m.values.shape == (g.ys().size, g.xs().size)
     tracemalloc.start()
     try:

@@ -2,10 +2,11 @@
 
 Usage: python tools/preset_outputs.py OUT
 
-Runs forward, image, svd, theory and compare on fig1-fig4, calibrate on
-fig4, image/svd from the saved fig1 MSR, calibrate from the saved fig4 MSR,
-and the BIE forward of fig1 and fig4 (their configs are written to OUT too)
-with calibrate from the fig4 BIE MSR.  Every command gets
+Runs forward, image, svd, theory and compare on fig1-fig4, svd of fig3 with
+the default log_gap selection, calibrate on fig4, image/svd from the saved
+fig1 MSR, calibrate from the saved fig4 MSR, and the BIE forward of fig1 and
+fig4 (their configs are written to OUT too) with calibrate from the fig4 BIE
+MSR.  Every command gets
 --seed 7 --snr-db 25 --grid=-2,2,-2,2,0.04 where it takes them, apart from
 one more theory and one more compare of fig4 on its own 401x401 grid (step
 0.01), whose map and report cover maps that span many row blocks.  The outputs
@@ -39,6 +40,7 @@ def write_outputs(out):
     for name in PRESET_NAMES:
         for command in ("forward", "image", "svd", "theory", "compare"):
             run(out / name / command, command, "--preset", name)
+    run(out / "fig3" / "svd_log_gap", "svd", "--preset", "fig3", "--signal-dim", "log_gap")
     run(out / "fig4" / "calibrate", "calibrate", "--preset", "fig4")
     run(out / "fig4" / "theory_preset_grid", "theory", "--preset", "fig4", flags=())
     run(out / "fig4" / "compare_preset_grid", "compare", "--preset", "fig4", flags=NOISE)
