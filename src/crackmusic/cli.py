@@ -1,9 +1,11 @@
 """Command-line orchestration: forward data, imaging, SVD, theory, calibration.
 
-Subcommands: forward, image, svd, theory, compare, calibrate.  Every command
-is deterministic given the config and seed; floats are written as repr writes
-them (the shortest decimal that reads back exactly) so outputs are
-byte-reproducible.
+Subcommands: forward, image, svd, theory, compare, calibrate.  Each cmd_*
+computes from the resolved Run and yields (name, value) outputs and ("warning",
+text) entries; write_outputs alone writes each output as it comes, prints its
+path to stdout and the warnings to stderr.  Every command is deterministic given
+the config and seed; floats are written as repr writes them (the shortest
+decimal that reads back exactly) so outputs are byte-reproducible.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure (which removes the
 --out directory the run created).
@@ -164,85 +166,81 @@ def compute_msr(run):
 
 
 def _msr_and_space(run):
-    """The run's MSR data (--msr or computed) and its selected signal space:
-    the one place M is chosen."""
+    """Yield the M = 0 warning, if any, and return the run's MSR data (--msr or
+    computed) and its selected signal space: the one place M is chosen."""
     msr = compute_msr(run) if run.msr is None else run.msr
     space = music.select_signal_dim(music.svd_msr(msr), **run.cfg["signal_dim"])
     if space.m == 0:
-        print("warning: M=0, every imaging map is flat", file=sys.stderr)
+        yield "warning", "M=0, every imaging map is flat"
     return msr, space
 
 
-def _write_json(obj, path):
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+def write_outputs(outputs, out):
+    """Write each (name, value) of outputs into out and print its path: an ImageMap
+    is name.csv and name.pgm, an MsrMatrix name.csv and its sidecar, a SignalSpace
+    the spectrum name.csv, a dict name.json (the printed path).  A ("warning",
+    text) goes to stderr.  Writers are looked up per call, so a tracer sees them."""
+    for name, value in outputs:
+        if name == "warning":
+            print(f"warning: {value}", file=sys.stderr)
+            continue
+        path = out / f"{name}.csv"
+        if isinstance(value, music.ImageMap):
+            music.save_map_csv(value, path)
+            music.save_map_pgm(value, out / f"{name}.pgm")
+        elif isinstance(value, MsrMatrix):
+            save_msr(value, path)
+        elif isinstance(value, music.SignalSpace):
+            music.save_spectrum_csv(value, path)
+        else:
+            path = out / f"{name}.json"
+            with open(path, "w") as f:
+                json.dump(value, f, indent=2, sort_keys=True)
+        print(path)
 
 
-def cmd_forward(run, out):
-    msr = compute_msr(run)
-    save_msr(msr, out / "msr.csv")
-    print(out / "msr.csv")
-    return 0
+def cmd_forward(run):
+    yield "msr", compute_msr(run)
 
 
-def cmd_image(run, out):
-    msr, space = _msr_and_space(run)
+def cmd_image(run):
+    msr, space = yield from _msr_and_space(run)
     for eta in run.cfg["etas"]:
         imap = music.imaging_map(space, run.grid, eta, msr.directions)
-        tag = _tag(eta)
-        music.save_map_csv(imap, out / f"map_eta{tag}.csv")
-        music.save_map_pgm(imap, out / f"map_eta{tag}.pgm")
+        yield f"map_eta{_tag(eta)}", imap
         peaks = music.find_peaks(imap, max(space.m, 1))
-        _write_json({"eta": eta, "m": space.m, "complete": peaks.complete,
-                     "peaks": [{"x": p[0], "y": p[1], "value": v}
-                               for p, v in peaks.peaks]},
-                    out / f"peaks_eta{tag}.json")
-        print(out / f"map_eta{tag}.csv")
-    return 0
+        yield f"peaks_eta{_tag(eta)}", {"eta": eta, "m": space.m, "complete": peaks.complete,
+                                        "peaks": [{"x": p[0], "y": p[1], "value": v}
+                                                  for p, v in peaks.peaks]}
 
 
-def cmd_svd(run, out):
-    msr, space = _msr_and_space(run)
-    music.save_spectrum_csv(space, out / "spectrum.csv")
-    _write_json({"m": space.m, "ambiguous": space.ambiguous,
-                 "method": run.cfg["signal_dim"]["method"]},
-                out / "selection.json")
-    print(out / "spectrum.csv")
-    return 0
+def cmd_svd(run):
+    _, space = yield from _msr_and_space(run)
+    yield "spectrum", space
+    yield "selection", {"m": space.m, "ambiguous": space.ambiguous,
+                        "method": run.cfg["signal_dim"]["method"]}
 
 
-def cmd_theory(run, out):
+def cmd_theory(run):
     for eta in run.cfg["etas"]:
         params = TheoryParams(wavenumber=run.scene.wavenumber, eta=eta, centers=run.scene.centers())
-        tmap = theory.theory_map(params, run.grid)
-        tag = _tag(eta)
-        music.save_map_csv(tmap, out / f"theory_eta{tag}.csv")
-        music.save_map_pgm(tmap, out / f"theory_eta{tag}.pgm")
-        print(out / f"theory_eta{tag}.csv")
-    return 0
+        yield f"theory_eta{_tag(eta)}", theory.theory_map(params, run.grid)
 
 
-def cmd_compare(run, out):
-    msr, space = _msr_and_space(run)
+def cmd_compare(run):
+    msr, space = yield from _msr_and_space(run)
     for eta in run.cfg["etas"]:
         imap = music.imaging_map(space, run.grid, eta, msr.directions)
         params = TheoryParams(wavenumber=run.scene.wavenumber, eta=eta, centers=run.scene.centers())
-        tmap = theory.theory_map(params, run.grid)
-        report = theory.compare_maps(imap, tmap, params)
-        report["eta"] = eta
-        _write_json(report, out / f"compare_eta{_tag(eta)}.json")
-        print(out / f"compare_eta{_tag(eta)}.json")
-    return 0
+        report = theory.compare_maps(imap, theory.theory_map(params, run.grid), params)
+        yield f"compare_eta{_tag(eta)}", {**report, "eta": eta}
 
 
-def cmd_calibrate(run, out):
-    msr, space = _msr_and_space(run)
-    k_hat, remap, info = calibrate_and_image(msr, run.plan, run.grid, space)
-    _write_json(info, out / "calibration.json")
-    music.save_map_csv(remap, out / "map_khat.csv")
-    music.save_map_pgm(remap, out / "map_khat.pgm")
-    print(out / "calibration.json")
-    return 0
+def cmd_calibrate(run):
+    msr, space = yield from _msr_and_space(run)
+    _, remap, info = calibrate_and_image(msr, run.plan, run.grid, space)
+    yield "calibration", info
+    yield "map_khat", remap
 
 
 _OVERRIDES = {   # flag -> add_argument keywords; dest is the config key the flag sets
@@ -291,7 +289,8 @@ def main(argv=None):
         out = Path(args.out)
         made = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
         out.mkdir(parents=True, exist_ok=True)
-        return args.fn(run, out)
+        write_outputs(args.fn(run), out)
+        return 0
     except (ConfigError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -41,9 +41,10 @@ class ImageGrid:
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise ValueError("grid ranges must be nonempty")
         spans = ((self.x1 - self.x0) / self.step, (self.y1 - self.y0) / self.step)
-        if not all(np.isfinite(spans)):
+        if not (spans[0] + 1) * (spans[1] + 1) <= np.iinfo(np.intp).max:   # inf fails too
             raise ValueError(f"grid (x1 - x0) / step and (y1 - y0) / step are {spans}, "
-                             "but both must be finite")
+                             "but the grid's point count must be at most "
+                             f"{np.iinfo(np.intp).max}, the largest array size")
 
     def _axis(self, lo, hi):
         """lo, lo + step, ... up to hi; a step count within 1e-9 of an integer

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import os
 import shlex
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import crackmusic
-from crackmusic import cli, load_msr, theory
+from crackmusic import cli, load_msr, music, theory
 from crackmusic.cli import main
 from crackmusic.presets import PRESET_NAMES, preset_config
 
@@ -71,6 +73,9 @@ def test_forward_bie_sidecar_audit(tmp_path):
     meta = json.loads((out / "msr.json").read_text())
     assert meta["provenance"] == "bie"
     assert meta["reciprocity_defect"] < 1e-6
+    k = load_msr(out / "msr.csv").entries   # the recorded defect is ||K - K^T||_F / ||K||_F
+    assert meta["reciprocity_defect"] == pytest.approx(
+        np.linalg.norm(k - k.T) / np.linalg.norm(k), rel=1e-12)
     assert meta["bie_n"] == [128, 128, 128]
 
 
@@ -231,12 +236,15 @@ def test_bad_signal_dim_flag_is_exit_2(tmp_path, flag, unparsable):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("grid", ["-1e308,1e308,-1,1,1e300", "-1,1,-1,1,1e-320"],
-                         ids=["span-overflows", "step-count-overflows"])
-def test_grid_with_an_infinite_step_count_is_exit_2(tmp_path, capsys, grid):
-    # every bound is finite, but x1 - x0 or (x1 - x0) / step is not
+@pytest.mark.parametrize("grid, spans", [
+    ("-1e308,1e308,-1,1,1e300", "(inf, "), ("-1,1,-1,1,1e-320", "(inf, "),
+    ("-1,1,-1,1,1e-300", "(1.9999999999999998e+300, 1.9999999999999998e+300)")],
+    ids=["span-overflows", "step-count-overflows", "point-count-overflows"])
+def test_grid_with_an_infinite_step_count_is_exit_2(tmp_path, capsys, grid, spans):
+    # every bound is finite, but x1 - x0 or (x1 - x0) / step is not, or the
+    # grid has more points than an array can hold
     assert run("image", "--preset", "fig1", f"--grid={grid}", "--out", str(tmp_path / "o")) == 2
-    assert "grid: grid (x1 - x0) / step and (y1 - y0) / step are (inf, " in capsys.readouterr().err
+    assert f"grid: grid (x1 - x0) / step and (y1 - y0) / step are {spans}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -499,6 +507,74 @@ def test_numeric_failure_keeps_an_existing_out(tmp_path, monkeypatch):
     assert (tmp_path / "old" / "keep.txt").read_text() == "kept"
     assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "old" / "a" / "b")) == 3
     assert sorted(p.name for p in (tmp_path / "old").iterdir()) == ["keep.txt"]
+
+
+# ---- outputs: the commands yield, write_outputs writes ----
+
+PRINTED = {   # each command's printed paths under --eta 10 --eta 15 where it takes --eta
+    "forward": ["msr.csv"],
+    "image": ["map_eta10.csv", "peaks_eta10.json", "map_eta15.csv", "peaks_eta15.json"],
+    "svd": ["spectrum.csv", "selection.json"],
+    "theory": ["theory_eta10.csv", "theory_eta15.csv"],
+    "compare": ["compare_eta10.json", "compare_eta15.json"],
+    "calibrate": ["calibration.json", "map_khat.csv"],
+}
+
+
+@pytest.mark.parametrize("command", PRINTED)
+def test_stdout_lists_one_path_per_output(tmp_path, capsys, command):
+    # in the order they are yielded; every other file in --out is the .pgm of a
+    # listed map or the sidecar .json of a listed MSR CSV
+    names, flags = PRINTED[command], cli._COMMANDS[command][1].split()
+    argv = [command, "--preset", "fig4" if command == "calibrate" else "fig1",
+            *(("--eta", "10", "--eta", "15") if "--eta" in flags else ()),
+            *(("--grid=-2,2,-2,2,0.1",) if "--grid" in flags else ()), "--out", str(tmp_path)]
+    assert run(*argv) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout.splitlines() == [str(tmp_path / name) for name in names]
+    assert stderr == ""
+    assert all((tmp_path / name).is_file() for name in names)
+    companions = {Path(name).stem + suffix for name in names if name.endswith(".csv")
+                  for suffix in (".pgm", ".json")}
+    assert {p.name for p in tmp_path.iterdir()} <= set(names) | companions
+
+
+def test_write_outputs_looks_its_writers_up_when_called(tmp_path, monkeypatch):
+    # perfbench's tracer rebinds module attributes: a writer bound once, at
+    # import, would hide every write from a traced run
+    writers = [(music, "save_map_csv"), (music, "save_map_pgm"), (music, "save_spectrum_csv"),
+               (cli, "save_msr")]
+    zero = {name: 0 for _, name in writers}
+    calls = {}
+    for module, name in writers:
+        def counted(*args, _name=name, _write=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _write(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    grid = "--grid=-2,2,-2,2,0.1"
+    for argv, want in [
+            (["forward", "--preset", "fig1"], {"save_msr": 1}),
+            (["image", "--preset", "fig1", "--eta", "10", "--eta", "15", grid],
+             {"save_map_csv": 2, "save_map_pgm": 2}),
+            (["svd", "--preset", "fig1"], {"save_spectrum_csv": 1}),
+            (["calibrate", "--preset", "fig4", grid], {"save_map_csv": 1, "save_map_pgm": 1})]:
+        calls.update(zero)
+        assert run(*argv, "--out", str(tmp_path / argv[0])) == 0
+        assert calls == {**zero, **want}, argv[0]
+
+
+def test_commands_compute_and_write_nothing():
+    # write_outputs is the one writer: a command takes only the run, yields its
+    # outputs and never prints, opens a file or calls a writer
+    helpers = [fn for fn, _ in cli._COMMANDS.values()] + [cli._msr_and_space]
+    for fn in helpers:
+        assert inspect.isgeneratorfunction(fn) and list(inspect.signature(fn).parameters) == ["run"]
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(ast.parse(inspect.getsource(fn)))
+                  if isinstance(node, ast.Call)}
+        writes = {c for c in called if c in ("print", "open", "_write_json")
+                  or str(c).startswith("save_")}
+        assert not writes, (fn.__name__, writes)
 
 
 def test_cli_import_leaves_out_scipy_interpolate(tmp_path):

@@ -73,13 +73,24 @@ def test_j0_grid_matches_scipy_j0():
     assert 450 < d.max() < 550   # the last grid's reach
 
 
-@pytest.mark.parametrize("half_width, h", [(38.0, 59), (39.0, 60)])
-def test_j0_matches_scipy_j0_for_odd_and_even_half_direction_counts(half_width, h):
+def _square_grid(half_width):
+    return np.linspace(-half_width, half_width, 41), np.linspace(-half_width, half_width, 37)
+
+
+NEAR_ORIGIN = np.array([(0.3, -0.2), (1.0, 0.5), (-2.5, 1.5)])
+
+
+@pytest.mark.parametrize("xs, ys, centers, h", [
+    pytest.param(*_square_grid(38.0), NEAR_ORIGIN, 59, id="38.0-59"),
+    pytest.param(*_square_grid(39.0), NEAR_ORIGIN, 60, id="39.0-60"),
+    pytest.param(np.linspace(10.0, 12.0, 41), np.linspace(0.0, 1.0, 37),
+                 np.array([(-30.0, 0.5), (-28.0, -1.0), (-29.5, 2.0)]), 49, id="off-origin")])
+def test_j0_matches_scipy_j0_for_odd_and_even_half_direction_counts(xs, ys, centers, h):
     # the kernel pairs theta with pi - theta; theta = pi/2 is its own partner
-    # only when h is even, so its weight shows on the second grid alone
+    # only when h is even, so its weight shows on the second grid alone.  On
+    # the symmetric grids x - centers and x + centers reach equally far; off
+    # the origin x + centers would give h = 32 and a J0 off by 5e-8
     from scipy.special import j0
-    xs, ys = np.linspace(-half_width, half_width, 41), np.linspace(-half_width, half_width, 37)
-    centers = np.array([(0.3, -0.2), (1.0, 0.5), (-2.5, 1.5)])
     assert _half_directions(xs, ys, centers) == h
     d = np.hypot(xs[:, None] - centers[:, 0], ys[:, None, None] - centers[:, 1])
     assert np.max(np.abs(bessel_j0(xs, ys, centers, slice(None)) - j0(d))) <= 1e-14
