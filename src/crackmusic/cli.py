@@ -14,12 +14,13 @@ Exit codes: 0 success, 2 config error, 3 numeric failure (which removes the
 import argparse
 import importlib.resources
 import json
+import numbers
+import operator
 import shutil
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import music, presets, theory
@@ -61,16 +62,18 @@ def load_config(args):
     flags = {o["dest"]: getattr(args, o["dest"]) for o in _OVERRIDES.values()}
     cfg.update({key: v for key, v in flags.items() if v is not None})
     cfg.setdefault("signal_dim", {"method": "log_gap"})
-    schema = _load_schema()   # jsonschema.validate less check_schema: a test checks the file once
-    error = jsonschema.exceptions.best_match(
-        jsonschema.validators.validator_for(schema)(schema).iter_errors(cfg))
+    error = _schema_error(_load_schema(), cfg)   # a test checks the file itself, once
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "top level"
-        if error.validator == "not" and error.validator_value == {}:
+        path, keyword, value, message = error
+        where = "/".join(map(str, path)) or "top level"
+        if keyword == "not" and value == {}:
             # the schema forbids a key outright only where a signal_dim method does not read it
             method = cfg["signal_dim"].get("method")
             raise ConfigError(f"{where} is not read by method {method!r}")
-        raise ConfigError(f"config does not match schema at {where}: {error.message}")
+        raise ConfigError(f"config does not match schema at {where}: {message}")
+    for section, key in ((cfg, "seed"), (cfg["directions"], "n"), (cfg["signal_dim"], "m")):
+        if isinstance(section.get(key), float):   # JSON Schema counts 3.0 as an integer
+            section[key] = int(section[key])
     for where, v in _non_finite(cfg):
         if not (where == "snr_db" and v == np.inf):   # +inf dB means no noise
             raise ConfigError(f"config value at {where} must be finite, not {v}")
@@ -106,6 +109,94 @@ def load_config(args):
                 raise ConfigError(f"MSR file {args.msr}: its sidecar has {key} = {got!r}, "
                                   f"but the config's {where} is {want!r}")
     return Run(cfg, scene, grid, plan, msr)
+
+
+_TYPES = {"object": dict, "array": list, "number": numbers.Number, "integer": int}
+_BOUNDS = {   # keyword -> (a number breaks it when, the message's words)
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+_SCHEMA_KEYWORDS = {"type", "properties", "required", "additionalProperties", "const", "enum",
+                    *_BOUNDS, "items", "minItems", "maxItems", "if", "allOf", "not", "$ref"}
+
+
+def _schema_error(schema, cfg):
+    """(path, keyword, keyword value, message) of the error that jsonschema's
+    best_match picks among cfg's errors against schema, or None if cfg matches:
+    the shallowest, then the greatest path, then one whose schema names a type
+    the value lacks (or none), then the first."""
+    error = max(_schema_errors(schema, cfg, schema),
+                key=lambda e: (-len(e[0]), e[0], not e[4]), default=None)
+    return error and error[:4]
+
+
+def _schema_errors(schema, x, root, path=()):
+    """Yield (path, keyword, keyword value, message, typed) for each way the JSON
+    value x breaks schema, in the order and words of jsonschema's Draft 2020-12
+    validator; typed tells whether schema names a type that x has.  It reads
+    only _SCHEMA_KEYWORDS, additionalProperties only as false, $ref only as a
+    pointer into root."""
+    if schema is True:
+        return
+    typed = "type" in schema and _is_type(x, schema["type"])
+    obj, arr, num = isinstance(x, dict), isinstance(x, list), _is_type(x, "number")
+    for key, v in schema.items():
+        subs, messages = (), ()   # (schema, value, path) to descend into; this key's errors
+        if key == "$ref":
+            target = root
+            for part in v.removeprefix("#/").split("/"):
+                target = target[part]
+            subs = [(target, x, path)]
+        elif key == "if":
+            then = not any(_schema_errors(v, x, root))
+            subs = [(schema.get("then" if then else "else", True), x, path)]
+        elif key == "allOf":
+            subs = [(s, x, path) for s in v]
+        elif key == "properties" and obj:
+            subs = [(s, x[k], (*path, k)) for k, s in v.items() if k in x]
+        elif key == "items" and arr:
+            subs = [(v, item, (*path, i)) for i, item in enumerate(x)]
+        elif key == "required" and obj:
+            messages = [f"{k!r} is a required property" for k in v if k not in x]
+        elif key == "additionalProperties" and obj and v is False:
+            extra = sorted((k for k in x if k not in schema.get("properties", {})), key=str)
+            if extra:
+                messages = ["Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")]
+        elif key == "type" and not typed:
+            messages = [f"{x!r} is not of type {v!r}"]
+        elif key == "const" and not _equal(x, v):
+            messages = [f"{v!r} was expected"]
+        elif key == "enum" and not any(_equal(x, e) for e in v):
+            messages = [f"{x!r} is not one of {v!r}"]
+        elif key == "not" and not any(_schema_errors(v, x, root)):
+            messages = [f"{x!r} should not be valid under {v!r}"]
+        elif key in _BOUNDS and num and _BOUNDS[key][0](x, v):
+            messages = [f"{x!r} is {_BOUNDS[key][1]} {v!r}"]
+        elif key == "minItems" and arr and len(x) < v:
+            messages = [f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}"]
+        elif key == "maxItems" and arr and len(x) > v:
+            messages = [f"{x!r} {'is expected to be empty' if v == 0 else 'is too long'}"]
+        for sub, value, sub_path in subs:
+            yield from _schema_errors(sub, value, root, sub_path)
+        for message in messages:
+            yield path, key, v, message, typed
+
+
+def _is_type(x, name):
+    """JSON Schema's type test: a bool is not a number, and 3.0 is an integer."""
+    if isinstance(x, bool) or not isinstance(x, _TYPES[name]):
+        return name == "integer" and isinstance(x, float) and x.is_integer()
+    return True
+
+
+def _equal(a, b):
+    """JSON equality: a bool equals only itself, 0 == 0.0 == -0.0, lists item by item."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    return a is b if isinstance(a, bool) or isinstance(b, bool) else a == b
 
 
 def _checked(section, build, *args, **kwargs):

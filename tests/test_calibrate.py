@@ -18,6 +18,11 @@ def test_plan_rejects_origin_and_bad_eta():
         CalibrationPlan(y=(0.0, -1.0), eta=0.0)
 
 
+def test_plan_takes_a_probe_wavenumber_below_1():
+    # eta must be positive, nothing more: 0.5 is a valid probe
+    assert CalibrationPlan(y=(0.0, -1.0), eta=0.5).eta == 0.5
+
+
 # ---- scalar estimate ----
 
 def test_estimate_examples():

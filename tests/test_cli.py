@@ -1,7 +1,9 @@
 import ast
+import copy
 import inspect
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -248,7 +250,7 @@ def test_grid_with_an_infinite_step_count_is_exit_2(tmp_path, capsys, grid, span
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("overrides, field", [
+VIOLATIONS = [   # (config overrides of fig1, what the exit-2 message names)
     ({"signal_dim": {"method": "manual"}}, "signal_dim: 'm'"),
     ({"signal_dim": {"method": "threshold"}}, "signal_dim: 'tau'"),
     ({"signal_dim": {"method": "threshold", "tau": 2.0}}, "signal_dim/tau"),
@@ -283,18 +285,46 @@ def test_grid_with_an_infinite_step_count_is_exit_2(tmp_path, capsys, grid, span
     ({"scene": _arc_scene([[1, 1], [1, 1], [1.5, 1]])}, "scene: arc points 0 and 1 coincide"),
     ({"scene": _arc_scene([[1, 1], [1, 1], [1.5, 1]]), "forward": "bie"},
      "scene: arc points 0 and 1 coincide"),
-], ids=["manual-without-m", "threshold-without-tau", "threshold-above-1",
-        "log-gap-with-m", "manual-with-tau", "threshold-with-m", "bie_n",
-        "theory_variant", "exclusion_radius", "directions-mode", "calibration-kind", "calibration-origin",
-        "snr-minus-inf", "snr-huge", "snr-minus-huge", "half-length-not-h",
-        "segment-without-half-length", "segment-unknown-key",
-        "arc-with-angle", "wavenumber-nan", "eta-inf", "arc-points-all-coincide",
-        "arc-repeated-point", "arc-repeated-point-bie"])
+]
+VIOLATION_IDS = ["manual-without-m", "threshold-without-tau", "threshold-above-1",
+                 "log-gap-with-m", "manual-with-tau", "threshold-with-m", "bie_n",
+                 "theory_variant", "exclusion_radius", "directions-mode", "calibration-kind",
+                 "calibration-origin",
+                 "snr-minus-inf", "snr-huge", "snr-minus-huge", "half-length-not-h",
+                 "segment-without-half-length", "segment-unknown-key",
+                 "arc-with-angle", "wavenumber-nan", "eta-inf", "arc-points-all-coincide",
+                 "arc-repeated-point", "arc-repeated-point-bie"]
+
+
+@pytest.mark.parametrize("overrides, field", VIOLATIONS, ids=VIOLATION_IDS)
 def test_schema_violation_names_the_field(tmp_path, capsys, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("snr_db, code", [(300.0, 0), (-300.0, 0), (300.5, 2), (-300.5, 2)])
+def test_snr_db_bounds_are_300_db_each_way(tmp_path, snr_db, code):
+    assert run("forward", "--preset", "fig1", f"--snr-db={snr_db}", "--out", str(tmp_path / "o")) == code
+    assert (tmp_path / "o").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command", ["forward", "image"])
+def test_integral_floats_at_integer_keys_run_as_ints(tmp_path, command):
+    # JSON Schema counts 3.0 as an integer, so the config passes, and the run is
+    # the one with 3: numpy takes an int seed only, and n and m count things
+    grid = ("--grid=-2,2,-2,2,0.04",) if command == "image" else ()
+    outputs = []
+    for seed, n, m in ((3, 16, 3), (3.0, 16.0, 3.0)):
+        cfg = {**preset_config("fig1"), "snr_db": 20.0, "seed": seed, "directions": {"n": n},
+               "signal_dim": {"method": "manual", "m": m}}
+        path = tmp_path / f"{seed!r}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"out_{seed!r}"
+        assert run(command, "--config", str(path), *grid, "--out", str(out)) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) > 1 and outputs[0] == outputs[1]
 
 
 def test_half_length_other_than_h_is_kept_under_bie(tmp_path):
@@ -661,20 +691,124 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
 
 # ---- presets ----
 
+SCHEMA = json.loads((Path(crackmusic.__file__).parent / "schemas"
+                     / "runconfig.schema.json").read_text())
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_matches_the_schema_file(name):
     # the schema file stands alone: the scene format is its own $defs/scene
-    schema = json.loads((Path(crackmusic.__file__).parent / "schemas"
-                         / "runconfig.schema.json").read_text())
-    jsonschema.validate(preset_config(name), schema)
+    jsonschema.validate(preset_config(name), SCHEMA)
 
 
 def test_schema_file_is_a_valid_schema():
     # load_config validates against the schema without checking the schema
     # itself on every run; this is that check, made once
-    schema = json.loads((Path(crackmusic.__file__).parent / "schemas"
-                         / "runconfig.schema.json").read_text())
-    jsonschema.validators.validator_for(schema).check_schema(schema)
+    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+
+# ---- the package's schema reader, against jsonschema ----
+
+
+def _best_match(cfg):
+    """(path, keyword, keyword value, message) of jsonschema's best_match for cfg, or None."""
+    e = jsonschema.exceptions.best_match(
+        jsonschema.validators.validator_for(SCHEMA)(SCHEMA).iter_errors(cfg))
+    return None if e is None else (tuple(e.absolute_path), e.validator, e.validator_value, e.message)
+
+
+@pytest.mark.parametrize("overrides", [o for o, _ in VIOLATIONS], ids=VIOLATION_IDS)
+def test_schema_reader_matches_jsonschema_on_the_named_cases(overrides):
+    cfg = {**preset_config("fig1"), **overrides}
+    cfg.setdefault("signal_dim", {"method": "log_gap"})
+    assert cli._schema_error(SCHEMA, cfg) == _best_match(cfg)
+
+
+_POOL = [True, False, None, 0, 1, 2, 3, 3.0, -1, -0.0, 0.5, 2.5, 300, 1e308, "asym", "bie",
+         "segment", "arc", "manual", "threshold", "log_gap", [], [0.0, -0.0], [1.0, 2.0, 3.0],
+         [[0, 0], [1, 0]], {}, {"method": "manual"}, {"n": 8}]
+_KEYS = ["m", "tau", "h", "n", "type", "angle", "half_length", "points", "center", "method",
+         "calibration", "snr_db", "seed", "extra"]
+_SECTIONS = [   # calibration points at an origin written with -0.0, M and tau at their bounds
+    *({"calibration": {"y": y, "eta": 20.0}}
+      for y in ([0.0, -0.0], [-0.0, 0], [0, 0], [0.0, 1e-300], [False, 0], [0.0, -0.0, 0.0])),
+    *({"signal_dim": {"method": "threshold", "tau": tau}} for tau in (1, 1.0, 1.5, 0, True)),
+    *({"signal_dim": {"method": "manual", "m": m}} for m in (0, -0.0, -1, 3.0, 3.5, False))]
+
+
+def _sites(node):
+    """(container, key) of every value inside node, depth first."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(children):
+        yield node, key
+        yield from _sites(child)
+
+
+def _mutant(rng):
+    """A preset config (signal_dim defaulted as load_config does) after one to three
+    random edits: a key or item deleted, two keys added, a value swapped for one of
+    another type (bools included), an integral float, NaN or +-inf, or a whole
+    section from _SECTIONS."""
+    box = {"cfg": preset_config(rng.choice(PRESET_NAMES))}
+    box["cfg"].setdefault("signal_dim", {"method": "log_gap"})
+    for _ in range(rng.randint(1, 3)):
+        node, key = rng.choice(list(_sites(box)))
+        value, edit = node[key], rng.randrange(6)
+        if edit == 0 and node is not box:
+            del node[key]
+        elif edit == 1 and isinstance(value, dict):
+            value.update({k: copy.deepcopy(rng.choice(_POOL)) for k in rng.sample(_KEYS, 2)})
+        elif edit == 2 and type(value) in (int, float) and np.isfinite(value):
+            node[key] = float(round(value))
+        elif edit == 3:
+            node[key] = rng.choice([float("nan"), float("inf"), -float("inf")])
+        elif edit == 4 and isinstance(box["cfg"], dict):
+            box["cfg"].update(copy.deepcopy(rng.choice(_SECTIONS)))
+        else:
+            node[key] = copy.deepcopy(rng.choice(_POOL))
+    return box["cfg"]
+
+
+def test_schema_reader_matches_jsonschema_on_mutated_presets():
+    # same accept or reject, and for a reject the same path, keyword and message
+    rng = random.Random(1)
+    verdicts = []
+    for _ in range(1000):
+        cfg = _mutant(rng)
+        got = cli._schema_error(SCHEMA, cfg)
+        assert got == _best_match(cfg), cfg
+        verdicts.append(got is None)
+    assert 0.1 < np.mean(verdicts) < 0.9   # both verdicts are well represented
+
+
+def test_schema_uses_only_the_keywords_the_reader_reads():
+    # a keyword the reader passed over would let every config through it silently
+    def walk(schema):
+        if schema is True:
+            return
+        for key, value in schema.items():
+            yield key, value
+            subs = (value.values() if key in ("properties", "$defs") else value if key == "allOf"
+                    else [value] if key in ("if", "then", "else", "not", "items") else ())
+            for sub in subs:
+                yield from walk(sub)
+    used = list(walk(SCHEMA))
+    passed_over = {"then", "else", "$schema", "$defs", "title", "description"}   # if reads then, else
+    assert {key for key, _ in used} <= cli._SCHEMA_KEYWORDS | passed_over
+    assert all(v is False for key, v in used if key == "additionalProperties")
+    assert all(v in cli._TYPES for key, v in used if key == "type")
+    assert all(v.startswith("#/$defs/") for key, v in used if key == "$ref")
+
+
+def test_commands_leave_out_jsonschema(tmp_path):
+    # jsonschema is about 0.08 s and 4 MB of a launch: the package reads its
+    # schema itself, for a config that matches it and for one that does not
+    code = ("import sys, crackmusic.cli as cli\n"
+            "assert cli.main(['forward', '--preset', 'fig1', '--out', 'fwd']) == 0\n"
+            "assert cli.main(['svd', '--preset', 'fig1', '--signal-dim=manual:-1', '--out', 'x']) == 2\n"
+            "print(any(m.split('.')[0] == 'jsonschema' for m in sys.modules))")
+    assert _python(code, tmp_path).splitlines()[-1] == "False"
 
 
 def test_config_roundtrip(tmp_path):
