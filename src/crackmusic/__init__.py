@@ -9,7 +9,7 @@ from .noise import add_awgn
 from .scene import (DirectionSet, ParametricCrack, Scene, SegmentCrack,
                     incident_field, make_directions, separation_ok)
 from .special import bessel_j0, hankel0
-from .theory import TheoryParams, compare_maps, phase_distance, theory_map
+from .theory import TheoryParams, compare_maps, theory_map
 
 __all__ = [
     "CalibrationPlan", "DirectionSet", "ImageGrid", "ImageMap", "MsrMatrix",
@@ -18,7 +18,7 @@ __all__ = [
     "calibrate_and_image", "compare_maps", "estimate_k",
     "farfield_bie", "find_peaks", "hankel0", "imaging_map", "incident_field", "load_msr",
     "make_directions", "save_msr", "select_signal_dim", "separation_ok",
-    "solve_scatter", "svd_msr", "phase_distance", "theory_map",
+    "solve_scatter", "svd_msr", "theory_map",
 ]
 
 __version__ = "0.1.0"

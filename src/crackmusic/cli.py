@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure (which removes the
 import argparse
 import importlib.resources
 import json
+import math
 import numbers
 import operator
 import shutil
@@ -71,6 +72,10 @@ def load_config(args):
             method = cfg["signal_dim"].get("method")
             raise ConfigError(f"{where} is not read by method {method!r}")
         raise ConfigError(f"config does not match schema at {where}: {message}")
+    n, n_max = cfg["directions"]["n"], math.isqrt(np.iinfo(np.intp).max // 16)
+    if n > n_max:   # ImageGrid's rule, for the N x N complex MSR matrix
+        raise ConfigError(f"directions/n is {n!r}, but an N x N complex matrix must fit the "
+                          f"largest array, {np.iinfo(np.intp).max} bytes, so N is at most {n_max}")
     for section, key in ((cfg, "seed"), (cfg["directions"], "n"), (cfg["signal_dim"], "m")):
         if isinstance(section.get(key), float):   # JSON Schema counts 3.0 as an integer
             section[key] = int(section[key])

@@ -120,11 +120,13 @@ def imaging_map(space, grid, eta, dirs):
     The steering phases separate, exp(i eta theta.x) = exp(i eta x cos)
     exp(i eta y sin), so only an (nx, N) and an (ny, N) factor are built.
     |P_noise f| is the norm of f against the N - M trailing left singular
-    vectors.  The y factor is folded into those vectors, so a grid row is one
-    (nx, N) by (N, N - M) product and no steering vector is formed.  Blocks of
-    grid rows hold at most ImageGrid.row_blocks' budget at 16 N bytes per
-    point, which bounds the block's complex (points, N - M) product, so the
-    kernel's temporaries stay a few MB whatever the grid size.
+    vectors.  The y factor is folded into those vectors, and directions of
+    equal cos theta (theta and 2 pi - theta) share one x factor, so their
+    folded rows are summed first: a grid row is one (nx, G) by (G, N - M)
+    product, G the number of distinct cos theta, and no steering vector is
+    formed.  Blocks of grid rows hold at most ImageGrid.row_blocks' budget at
+    16 N bytes per point, which bounds the block's complex (points, N - M)
+    product, so the kernel's temporaries stay a few MB whatever the grid size.
     """
     if space.m is None:
         raise ValueError("signal dimension M not selected")
@@ -137,15 +139,31 @@ def imaging_map(space, grid, eta, dirs):
     # with M = 0 the noise space is all of C^N and |f| = 1, so E = 1 exactly
     values = np.ones((ys.size, xs.size))
     if space.m > 0:
-        ex = np.exp(1j * eta * np.outer(xs, th[:, 0]))
-        ey = np.exp(1j * eta * np.outer(ys, th[:, 1])) / np.sqrt(th.shape[0])
-        noise = space.left_vectors[:, space.m:].conj()
+        order, starts = _mirror_groups(th[:, 0])
+        ex = np.exp(1j * eta * np.outer(xs, th[order[starts], 0]))
+        ey = np.exp(1j * eta * np.outer(ys, th[order, 1])) / np.sqrt(th.shape[0])
+        noise = space.left_vectors[order, space.m:].conj()
         for rows in grid.row_blocks(16 * th.shape[0]):
-            w = ey[rows, :, None] * noise          # C order, (rows, N, N - M)
-            p = np.matmul(ex, w).view(np.float64)   # one (nx, N) @ (N, N - M) per row
+            # C order, (rows, G, N - M): each group's rows of ey * noise summed
+            w = np.add.reduceat(ey[rows, :, None] * noise, starts, axis=1)
+            p = np.matmul(ex, w).view(np.float64)   # one (nx, G) @ (G, N - M) per row
             r = np.sqrt(np.einsum("rij,rij->ri", p, p))
             values[rows] = 1.0 / np.maximum(r, EPS_CLAMP)
     return ImageMap(grid=grid, values=values)
+
+
+def _mirror_groups(cos):
+    """The directions grouped by cos theta: an order that lists each group's
+    members together, in index order, and the group starts within it.  cos
+    values at most 4 ulps of 1 apart form one group: theta and 2 pi - theta,
+    whose cosines the angle arithmetic leaves a few ulps apart, and the
+    repeated 0 and 2 pi."""
+    by_cos = np.argsort(cos, kind="stable")
+    new = np.diff(cos[by_cos]) > 4 * np.finfo(float).eps
+    group = np.empty(cos.size, dtype=int)
+    group[by_cos] = np.concatenate([[0], np.cumsum(new)])
+    order = np.argsort(group, kind="stable")
+    return order, np.flatnonzero(np.diff(group[order], prepend=-1))
 
 
 @dataclass(frozen=True)

@@ -53,15 +53,24 @@ def theory_map(params, grid):
     return ImageMap(grid=grid, values=values)
 
 
-def phase_distance(params, grid):
-    """min_m |eta x - k z_m| over the grid, shape (ny, nx), as the root of the
-    least squared distance (sqrt is monotone and correctly rounded)."""
+def _near_targets(params, grid):
+    """Grid points with min_m |eta x - k z_m| <= EXCLUSION_RADIUS, shape (ny, nx).
+
+    Only the box of columns with |eta x - k z_m,x| <= R and rows with
+    |eta y - k z_m,y| <= R can lie within R = EXCLUSION_RADIUS of target m
+    (fl(sqrt(fl(d^2))) = |d|, and adding the other square can only grow the
+    root), so each target is checked over its box alone.
+    """
     dx, dy = _offsets(params, grid)
-    dx, dy = dx * dx, dy * dy
-    d = np.empty((dy.shape[0], dx.shape[0]))
-    for rows in grid.row_blocks(8 * dx.shape[1]):
-        np.min(dx + dy[rows, None, :], axis=2, out=d[rows])
-    return np.sqrt(d, out=d)
+    near = np.zeros((dy.shape[0], dx.shape[0]), dtype=bool)
+    for m in range(dx.shape[1]):
+        cols = np.flatnonzero(np.abs(dx[:, m]) <= EXCLUSION_RADIUS)
+        rows = np.flatnonzero(np.abs(dy[:, m]) <= EXCLUSION_RADIUS)
+        if cols.size and rows.size:   # the axes increase, so each set is a range
+            box = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+            x, y = dx[box[1], m], dy[box[0], m]
+            near[box] |= np.sqrt(x * x + (y * y)[:, None]) <= EXCLUSION_RADIUS
+    return near
 
 
 def compare_maps(a, b, params):
@@ -74,7 +83,7 @@ def compare_maps(a, b, params):
     """
     if a.grid != b.grid:
         raise ValueError("maps must share a grid")
-    keep = phase_distance(params, a.grid) > EXCLUSION_RADIUS
+    keep = ~_near_targets(params, a.grid)
     near_clamp = 1.0 / np.sqrt(_EPS) * 1e-3
     keep &= (a.values < near_clamp) & (b.values < near_clamp)
     va = a.values[keep]

@@ -51,6 +51,15 @@ def direction_average(w, x, dirs):
     return complex(np.mean(phases))
 
 
+def phase_distance(params, grid):
+    """min_m |eta x - k z_m| over the grid, shape (ny, nx): every grid point
+    against every target, the root of the least squared distance."""
+    kz = params.wavenumber * params.centers
+    dx = params.eta * grid.xs()[:, None] - kz[:, 0]
+    dy = params.eta * grid.ys()[:, None] - kz[:, 1]
+    return np.sqrt(np.min(dx * dx + (dy * dy)[:, None, :], axis=2))
+
+
 def closed_form(x, k, eta, centers):
     """The closed form at one point x: the radicand 1 - sum_m J0(|eta x - k z_m|)^2
     with scipy's J0, and the value radicand^(-1/2), the radicand clamped at 1e-12."""

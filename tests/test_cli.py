@@ -250,6 +250,23 @@ def test_grid_with_an_infinite_step_count_is_exit_2(tmp_path, capsys, grid, span
     assert not (tmp_path / "o").exists()
 
 
+def test_directions_too_many_for_an_array_is_exit_2(tmp_path, capsys):
+    # 16 N^2 bytes must fit the largest array; the message names the key
+    cfg = write_cfg(tmp_path, directions={"n": 1e300})
+    assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert "directions/n is 1e+300, but an N x N complex matrix must fit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # the bound itself, through load_config alone: no matrix is built
+    def load(n):
+        cfg = write_cfg(tmp_path, directions={"n": n})
+        args = cli.build_parser().parse_args(["forward", "--config", cfg, "--out", "o"])
+        return cli.load_config(args)
+
+    assert load(759250124).cfg["directions"]["n"] == 759250124
+    with pytest.raises(cli.ConfigError, match="so N is at most 759250124"):
+        load(759250125)
+
+
 VIOLATIONS = [   # (config overrides of fig1, what the exit-2 message names)
     ({"signal_dim": {"method": "manual"}}, "signal_dim: 'm'"),
     ({"signal_dim": {"method": "threshold"}}, "signal_dim: 'tau'"),

@@ -98,6 +98,17 @@ def test_fig4_arc_auto_n_is_within_tolerance_of_n_1024():
     assert np.max(np.abs(auto.entries - fine)) < 1e-7 * np.max(np.abs(fine))
 
 
+def test_ladder_stops_at_n_max(monkeypatch):
+    # fig4's arc converges at n = 256: with the ladder capped at 128 it must
+    # fail rather than solve past the cap
+    arc = scene_from_dict(preset_config("fig4")["scene"]).cracks[0]
+    scene = Scene(cracks=(arc,), wavenumber=2 * np.pi / 0.4)
+    assert assemble_msr_bie(scene, make_directions(8)).extra["bie_n"] == [256]
+    monkeypatch.setattr(forward_bie, "_N_MAX", 128)
+    with pytest.raises(ArithmeticError, match="by n=128"):
+        assemble_msr_bie(scene, make_directions(8))
+
+
 def test_reciprocity_two_independent_solves():
     v = np.array([0.3, np.sqrt(1 - 0.09)])
     t = np.array([1.0, 0.0])

@@ -7,7 +7,7 @@ import pytest
 
 from crackmusic import (ImageGrid, Scene, SegmentCrack, TheoryParams,
                         assemble_msr, find_peaks, imaging_map,
-                        make_directions, phase_distance, select_signal_dim,
+                        make_directions, select_signal_dim,
                         svd_msr, theory_map)
 from crackmusic import music
 from crackmusic.forward_asym import MsrMatrix
@@ -150,6 +150,19 @@ def test_imaging_map_matches_explicit_projector(m):
     assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
 
+@pytest.mark.parametrize("scheme", [make_directions, open_directions])
+@pytest.mark.parametrize("n", [15, 16])
+def test_imaging_map_matches_explicit_projector_over_direction_sets(scheme, n):
+    # the kernel shares one x factor between directions of equal cos theta:
+    # theta and 2 pi - theta in both schemes, 0 and 2 pi in the closed one
+    dirs = scheme(n)
+    sp = select_signal_dim(svd_msr(random_msr(n, n)), "manual", m=n // 3)
+    g = ImageGrid(-1.0, 1.0, -1.5, 1.5, 0.02)
+    got = imaging_map(sp, g, 17.0, dirs).values
+    ref = _explicit_projector_map(sp, g, 17.0, dirs)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
 def test_imaging_map_m0_is_exactly_one():
     sp = select_signal_dim(svd_msr(msr3()), "manual", m=0)
     m = imaging_map(sp, ImageGrid(-1, 1, -1, 1, 0.1), 10.0, make_directions(16))
@@ -226,8 +239,8 @@ def test_imaging_map_memory_is_bounded():
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_imaging_map_is_independent_of_the_block_size(n, monkeypatch):
-    # the closed form and the phase distance walk the same row blocks; n
-    # centres make one or two of them at the default budget
+    # the closed form walks the same row blocks; n centres make one or two
+    # of them at the default budget
     sp = select_signal_dim(svd_msr(random_msr(n, 5)), "manual", m=n // 3)
     dirs = make_directions(n)
     params = TheoryParams(wavenumber=K1, eta=13.0,
@@ -238,7 +251,7 @@ def test_imaging_map_is_independent_of_the_block_size(n, monkeypatch):
     for budget in (1, 16 * n * g.xs().size * g.ys().size, music._BLOCK_BYTES):
         monkeypatch.setattr(music, "_BLOCK_BYTES", budget)
         maps.append([imaging_map(sp, g, 13.0, dirs).values,
-                     theory_map(params, g).values, phase_distance(params, g)])
+                     theory_map(params, g).values])
     assert all(np.array_equal(a, b) for m in maps[1:] for a, b in zip(maps[0], m))
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from crackmusic import (ImageGrid, TheoryParams, assemble_msr, compare_maps,
-                        find_peaks, imaging_map, phase_distance,
-                        select_signal_dim, svd_msr, theory_map)
-from crackmusic import music
+                        find_peaks, imaging_map, select_signal_dim, svd_msr,
+                        theory_map)
+from crackmusic import music, special, theory
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
-from reference import closed_form, open_directions
+from reference import closed_form, open_directions, phase_distance
 from scipy.special import j0
 
 K1 = 2 * np.pi / 0.5
@@ -117,22 +117,50 @@ def test_map_radially_symmetric_single_center():
     assert np.ptp(vals) < 1e-9
 
 
-def test_phase_distance():
-    p = TheoryParams(wavenumber=2.0, eta=4.0, centers=[(1.0, 0.0), (-1.0, 0.0)])
-    d = phase_distance(p, ImageGrid(0.0, 0.5, 0.0, 0.0, 0.5))
-    assert d.shape == (1, 2)
-    assert d[0, 1] == pytest.approx(0.0)
-    assert d[0, 0] == pytest.approx(2.0)
-
-
-def test_phase_distance_matches_all_pairs_minimum():
+def _exclusion_cases():
+    """(params, grid) pairs: seeded random grids and targets, some targets
+    outside the grid, and grid points exactly EXCLUSION_RADIUS from a target
+    along each axis (eta = k = 1 and dyadic points keep every offset exact)."""
     rng = np.random.default_rng(4)
-    p = TheoryParams(wavenumber=3.0, eta=5.0, centers=rng.uniform(-1, 1, (7, 2)))
-    g = ImageGrid(-2.0, 2.0, -1.5, 2.0, 0.05)
-    xx, yy = np.meshgrid(g.xs(), g.ys())
-    pts = np.stack([xx, yy], axis=-1)
-    pairs = np.linalg.norm(5.0 * pts[:, :, None, :] - 3.0 * p.centers, axis=3)
-    assert np.array_equal(phase_distance(p, g), pairs.min(axis=2))
+    for i in range(8):
+        x0, y0 = rng.uniform(-2, 1, 2)
+        g = ImageGrid(x0, x0 + rng.uniform(0.5, 2), y0, y0 + rng.uniform(0.5, 2),
+                      rng.uniform(0.005, 0.03))
+        eta, k = rng.uniform(2, 10, 2)
+        lo, hi = eta * np.array([g.x0, g.y0]) - 2, eta * np.array([g.x1, g.y1]) + 2
+        centers = rng.uniform(lo, hi, (rng.integers(1, 12), 2)) / k
+        yield pytest.param(TheoryParams(wavenumber=k, eta=eta, centers=centers), g,
+                           id=f"random-{i}")
+    g = ImageGrid(-1.0, 1.0, -0.5, 0.5, 0.125)
+    centers = [(0.25, 0.0), (-1.0, -0.375), (1.5, 0.25), (0.0, 1.0)]
+    yield pytest.param(TheoryParams(wavenumber=1.0, eta=1.0, centers=centers), g,
+                       id="on-the-radius")
+    centers = [(0.5, 0.5), (-0.75, 0.125), (3.0, 0.0)]
+    yield pytest.param(TheoryParams(wavenumber=1.0, eta=1.0, centers=centers),
+                       ImageGrid(-1, 1, 0, 0, 0.125), id="one-row")
+
+
+@pytest.mark.parametrize("params, grid", _exclusion_cases())
+def test_exclusion_is_the_all_pairs_phase_distance(params, grid):
+    # compare_maps checks each target over the box of rows and columns within
+    # EXCLUSION_RADIUS of it; the oracle checks every point against every target
+    near = phase_distance(params, grid) <= theory.EXCLUSION_RADIUS
+    assert np.array_equal(theory._near_targets(params, grid), near)
+    flat = music.ImageMap(grid=grid, values=np.ones(near.shape))
+    rep = compare_maps(flat, flat, params)
+    assert (rep["excluded_count"], rep["compared_count"]) == (np.sum(near), np.sum(~near))
+
+
+def test_theory_map_builds_the_j0_factors_once():
+    # the factors that do not depend on the rows are built for the first
+    # row block and reused by the others
+    scene = scene_from_dict(preset_config("fig4")["scene"])
+    p = TheoryParams(wavenumber=scene.wavenumber, eta=20.0, centers=scene.centers())
+    g = ImageGrid(-2, 2, -2, 2, 0.02)
+    assert len(g.row_blocks(8 * p.centers.shape[0])) >= 3
+    special._factors.cache_clear()
+    theory_map(p, g)
+    assert special._factors.cache_info().misses == 1
 
 
 def test_theory_map_memory_is_bounded():
