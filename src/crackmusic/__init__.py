@@ -8,7 +8,7 @@ from .music import (ImageGrid, ImageMap, SignalSpace, find_peaks, imaging_map,
 from .noise import add_awgn
 from .scene import (DirectionSet, ParametricCrack, Scene, SegmentCrack,
                     incident_field, make_directions, separation_ok)
-from .special import bessel_j0, hankel0
+from .special import bessel_j0, hankel0, j0_plane_waves
 from .theory import TheoryParams, compare_maps, theory_map
 
 __all__ = [
@@ -16,8 +16,8 @@ __all__ = [
     "ParametricCrack", "Scene", "SegmentCrack", "SignalSpace",
     "TheoryParams", "add_awgn", "assemble_msr", "assemble_msr_bie", "bessel_j0",
     "calibrate_and_image", "compare_maps", "estimate_k",
-    "farfield_bie", "find_peaks", "hankel0", "imaging_map", "incident_field", "load_msr",
-    "make_directions", "save_msr", "select_signal_dim", "separation_ok",
+    "farfield_bie", "find_peaks", "hankel0", "imaging_map", "incident_field", "j0_plane_waves",
+    "load_msr", "make_directions", "save_msr", "select_signal_dim", "separation_ok",
     "solve_scatter", "svd_msr", "theory_map",
 ]
 

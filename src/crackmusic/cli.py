@@ -105,6 +105,12 @@ def load_config(args):
         plan = _checked("calibration", CalibrationPlan, **cfg["calibration"])
     scene = _checked("scene", scene_from_dict, cfg["scene"])
     grid = _checked("grid", ImageGrid, **cfg["grid"])
+    reach = max(abs(grid.x0), abs(grid.x1), abs(grid.y0), abs(grid.y1))
+    probes = [(f"etas/{i}", eta) for i, eta in enumerate(cfg["etas"])]
+    for where, eta in probes + ([("calibration/eta", plan.eta)] if plan else []):
+        if not math.isfinite(eta * reach):   # a map's phases eta x must be finite
+            raise ConfigError(f"{where} is {eta!r}, but eta times the grid's largest "
+                              f"|coordinate|, {reach!r}, overflows")
     if args.msr:   # the data must match the config's N and wavenumber
         msr = _checked(f"MSR file {args.msr}", load_msr, args.msr)
         for key, got, where, want in (

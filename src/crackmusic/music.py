@@ -57,10 +57,10 @@ class ImageGrid:
     def ys(self):
         return self._axis(self.y0, self.y1)
 
-    def row_blocks(self, bytes_per_point):
+    def row_blocks(self, bytes_per_row):
         """Slices of whole grid rows, each holding at most _BLOCK_BYTES at
-        bytes_per_point (at least one row): the one block size of every map."""
-        rows = max(1, _BLOCK_BYTES // (bytes_per_point * self.xs().size))
+        bytes_per_row (at least one row): the one block size of every map."""
+        rows = max(1, _BLOCK_BYTES // bytes_per_row)
         return [slice(i, i + rows) for i in range(0, self.ys().size, rows)]
 
 
@@ -124,9 +124,9 @@ def imaging_map(space, grid, eta, dirs):
     equal cos theta (theta and 2 pi - theta) share one x factor, so their
     folded rows are summed first: a grid row is one (nx, G) by (G, N - M)
     product, G the number of distinct cos theta, and no steering vector is
-    formed.  Blocks of grid rows hold at most ImageGrid.row_blocks' budget at
-    16 N bytes per point, which bounds the block's complex (points, N - M)
-    product, so the kernel's temporaries stay a few MB whatever the grid size.
+    formed.  A block of grid rows holds at most ImageGrid.row_blocks' budget
+    of what its rows build, so the kernel's temporaries stay a few MB whatever
+    the grid size.
     """
     if space.m is None:
         raise ValueError("signal dimension M not selected")
@@ -143,12 +143,15 @@ def imaging_map(space, grid, eta, dirs):
         ex = np.exp(1j * eta * np.outer(xs, th[order[starts], 0]))
         ey = np.exp(1j * eta * np.outer(ys, th[order, 1])) / np.sqrt(th.shape[0])
         noise = space.left_vectors[order, space.m:].conj()
-        for rows in grid.row_blocks(16 * th.shape[0]):
+        # a row builds complex (N, N - M), (G, N - M) and (nx, N - M) stacks and three (nx) norms
+        row_bytes = 16 * noise.shape[1] * (th.shape[0] + starts.size + xs.size) + 24 * xs.size
+        for rows in grid.row_blocks(row_bytes):
             # C order, (rows, G, N - M): each group's rows of ey * noise summed
             w = np.add.reduceat(ey[rows, :, None] * noise, starts, axis=1)
             p = np.matmul(ex, w).view(np.float64)   # one (nx, G) @ (G, N - M) per row
             r = np.sqrt(np.einsum("rij,rij->ri", p, p))
             values[rows] = 1.0 / np.maximum(r, EPS_CLAMP)
+            del w, p, r                             # freed before the next block's stacks
     return ImageMap(grid=grid, values=values)
 
 
@@ -373,7 +376,7 @@ def save_map_csv(imap, path):
     values = np.asarray(imap.values, dtype=float)
     with open(path, "wb") as f:
         f.write(b"x,y,value\r\n")
-        for rows in g.row_blocks(_CSV_BYTES_PER_POINT):
+        for rows in g.row_blocks(_CSV_BYTES_PER_POINT * xs.size):
             f.write(_csv_lines(xs, ys[rows], values[rows]))
 
 
@@ -385,7 +388,7 @@ def save_map_pgm(imap, path):
     ny, nx = v.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{nx} {ny}\n255\n".encode())
-        for rows in imap.grid.row_blocks(32):          # three float64 temporaries a pixel
+        for rows in imap.grid.row_blocks(32 * nx):     # three float64 temporaries a pixel
             scaled = np.zeros_like(v[rows]) if hi == lo else (v[rows] - lo) / (hi - lo)
             f.write(np.round(255.0 * scaled).astype(np.uint8))
 

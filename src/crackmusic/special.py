@@ -10,7 +10,6 @@ at scattered arguments: it is numpy with Cephes' j0.c rational
 approximations, the ones behind scipy's j0 and y0.  Neither imports scipy.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -61,9 +60,12 @@ def _polevl(x, coef, monic=False):
     return acc
 
 
-def bessel_j0(xs, ys, centers, rows):
-    """J0(|(xs[i], ys[j]) - centers[m]|) for the grid rows ys[rows], every
-    column xs and every target: shape (len(ys[rows]), len(xs), M).
+def j0_plane_waves(xs, ys, centers):
+    """The plane-wave factors of J0(|(xs[i], ys[j]) - centers[m]|) on the grid
+    xs x ys, built once per grid and target set: a tuple of h, ys, sin theta_q,
+    the (nx, 2R) [cos, sin](x cos theta_q), the weighted (2, R, M) target
+    factors and cos, sin of z_y sin theta_q.  bessel_j0 takes it with a block
+    of grid rows.  Rejects non-finite input.
 
     The plane-wave average over Q = 2h equispaced directions theta_q = pi q / h
     is J0(|v|) = (1/h) sum_{q<h} cos(v . theta_q) (the other half turn gives
@@ -76,32 +78,12 @@ def bessel_j0(xs, ys, centers, rows):
     product, and cos((y - z_y) s) is taken by angle addition so that a row
     costs R cosines and R sines.  h depends on the whole grid, not on rows
     (_half_directions), so a row's values do not depend on the block it is in.
-    The factors that do not depend on the rows are kept for the last grid and
-    targets (_factors), so a map's row blocks build them once.
-    Rejects non-finite input.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if not all(np.all(np.isfinite(arr)) for arr in (xs, ys, centers)):
         raise ValueError("bessel_j0 requires finite input")
     h = _half_directions(xs, ys, centers)
-    sin, a, bx, cos_zy, sin_zy = _factors(h, xs.tobytes(), centers.tobytes())
-    ey = ys[rows, None] * sin                                               # (rows, R)
-    g = np.cos(ey)[:, :, None] * cos_zy + np.sin(ey)[:, :, None] * sin_zy
-    # C order, (rows, 2R, M): each row the same BLAS call
-    w = (g[:, None] * bx).reshape(g.shape[0], 2 * sin.size, g.shape[2])
-    out = np.matmul(a, w)
-    out /= h
-    return out
-
-
-@functools.lru_cache(maxsize=1)
-def _factors(h, xs_bytes, centers_bytes):
-    """bessel_j0's factors that do not depend on the rows, read-only: sin theta_q,
-    the (nx, 2R) [cos, sin](x cos theta_q), the weighted (2, R, M) target
-    factors and cos, sin of z_y sin theta_q.  A map's row blocks share one grid
-    and one target set, so the map builds them once."""
-    xs, centers = np.frombuffer(xs_bytes), np.frombuffer(centers_bytes).reshape(-1, 2)
     theta = (np.pi / h) * np.arange(h // 2 + 1)
     cos, sin = np.cos(theta), np.sin(theta)
     weight = np.full(theta.size, 2.0)
@@ -112,9 +94,20 @@ def _factors(h, xs_bytes, centers_bytes):
     a = np.concatenate([np.cos(ex), np.sin(ex)], axis=1)                   # (nx, 2R)
     zx, zy = centers[:, 0] * cos[:, None], centers[:, 1] * sin[:, None]     # (R, M)
     bx = weight[:, None] * np.stack([np.cos(zx), np.sin(zx)])               # (2, R, M)
-    out = (sin, a, bx, np.cos(zy), np.sin(zy))
-    for arr in out:
-        arr.flags.writeable = False
+    return h, ys, sin, a, bx, np.cos(zy), np.sin(zy)
+
+
+def bessel_j0(waves, rows):
+    """J0(|(xs[i], ys[j]) - centers[m]|) for the grid rows ys[rows], every
+    column xs and every target, from waves = j0_plane_waves(xs, ys, centers):
+    shape (len(ys[rows]), len(xs), M)."""
+    h, ys, sin, a, bx, cos_zy, sin_zy = waves
+    ey = ys[rows, None] * sin                                               # (rows, R)
+    g = np.cos(ey)[:, :, None] * cos_zy + np.sin(ey)[:, :, None] * sin_zy
+    # C order, (rows, 2R, M): each row the same BLAS call
+    w = (g[:, None] * bx).reshape(g.shape[0], 2 * sin.size, g.shape[2])
+    out = np.matmul(a, w)
+    out /= h
     return out
 
 

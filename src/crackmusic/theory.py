@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .music import ImageMap
-from .special import bessel_j0
+from .special import bessel_j0, j0_plane_waves
 
 _EPS = 1e-12
 EXCLUSION_RADIUS = 0.5     # phase distance around each predicted peak left out of comparisons
@@ -33,22 +33,18 @@ class TheoryParams:
         object.__setattr__(self, "centers", c)
 
 
-def _offsets(params, grid):
-    """eta x - k z_m split by axis: an (nx, M) x part and an (ny, M) y part."""
-    kz = params.wavenumber * params.centers
-    return (params.eta * grid.xs()[:, None] - kz[:, 0],
-            params.eta * grid.ys()[:, None] - kz[:, 1])
-
-
 def theory_map(params, grid):
     """(1 - sum_m J0(|eta x - k z_m|)^2)^(-1/2) over the grid, the radicand
-    clamped at _EPS, a block of grid rows at a time."""
+    clamped at _EPS, a block of grid rows at a time; the J0 factors are built once."""
     xs, ys = params.eta * grid.xs(), params.eta * grid.ys()
-    kz = params.wavenumber * params.centers
+    waves = j0_plane_waves(xs, ys, params.wavenumber * params.centers)
+    # a row builds its (nx, M) J0 product, (2R, M) stack and (R, M) angle-addition terms
+    row_bytes = 8 * params.centers.shape[0] * (xs.size + 3 * waves[2].size)
     rad = np.empty((ys.size, xs.size))
-    for rows in grid.row_blocks(8 * kz.shape[0]):
-        j = bessel_j0(xs, ys, kz, rows)
+    for rows in grid.row_blocks(row_bytes):
+        j = bessel_j0(waves, rows)
         rad[rows] = 1.0 - np.einsum("rim,rim->ri", j, j)
+        del j                       # freed before the next block's stacks
     values = 1.0 / np.sqrt(np.maximum(rad, _EPS, out=rad), out=rad)
     return ImageMap(grid=grid, values=values)
 
@@ -61,7 +57,9 @@ def _near_targets(params, grid):
     (fl(sqrt(fl(d^2))) = |d|, and adding the other square can only grow the
     root), so each target is checked over its box alone.
     """
-    dx, dy = _offsets(params, grid)
+    kz = params.wavenumber * params.centers
+    dx = params.eta * grid.xs()[:, None] - kz[:, 0]     # (nx, M): eta x - k z_m by axis
+    dy = params.eta * grid.ys()[:, None] - kz[:, 1]     # (ny, M)
     near = np.zeros((dy.shape[0], dx.shape[0]), dtype=bool)
     for m in range(dx.shape[1]):
         cols = np.flatnonzero(np.abs(dx[:, m]) <= EXCLUSION_RADIUS)

@@ -14,8 +14,8 @@ from crackmusic import (CalibrationPlan, ImageGrid, Scene, SegmentCrack,
                         TheoryParams, add_awgn, assemble_msr,
                         assemble_msr_bie, bessel_j0, calibrate_and_image,
                         compare_maps, farfield_bie, find_peaks, imaging_map,
-                        make_directions, select_signal_dim, solve_scatter,
-                        svd_msr, theory_map)
+                        j0_plane_waves, make_directions, select_signal_dim,
+                        solve_scatter, svd_msr, theory_map)
 from crackmusic.cli import main as cli_main
 from crackmusic.forward_bie import boundary_field
 from crackmusic.presets import preset_config
@@ -50,7 +50,7 @@ def test_criterion_01_direction_average_matches_j0():
     worst = 0.0
     for w_abs_x in np.linspace(0.0, 30.0, 121):
         val = direction_average(w_abs_x, (1.0, 0.0), dirs)
-        j0 = bessel_j0([w_abs_x], [0.0], [(0.0, 0.0)], slice(None))[0, 0, 0]   # one-point grid
+        j0 = bessel_j0(j0_plane_waves([w_abs_x], [0.0], [(0.0, 0.0)]), slice(None))[0, 0, 0]
         worst = max(worst, abs(val - j0))
     check(1, f"direction average vs J0, N=360, max err {worst:.2e} < 1e-3",
           worst < 1e-3)

@@ -509,6 +509,23 @@ def test_etas_with_one_file_name_tag_are_exit_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("image", "etas", 0), ("theory", "etas", 0), ("compare", "etas", 0),
+    ("calibrate", "calibration", "eta")])
+def test_a_probe_wavenumber_whose_phases_overflow_is_exit_2(tmp_path, capsys, command, section,
+                                                            key):
+    # 1e308 times the grid's corner coordinate 2 is inf: image wrote a map
+    # that was partly nan, and the others failed later as numeric failures
+    cfg = preset_config("fig4")
+    cfg[section][key] = 1e308
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert run(command, "--config", str(tmp_path / "c.json"), "--grid=-2,2,-2,2,0.5",
+               "--out", str(tmp_path / "o")) == 2
+    assert (f"{section}/{key} is 1e+308, but eta times the grid's largest |coordinate|, 2.0, "
+            "overflows" in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["forward", "image", "svd", "theory", "compare", "calibrate"])
 def test_a_run_builds_its_scene_and_grid_once(tmp_path, monkeypatch, command):
     # load_config resolves the run; the commands compute from it and never parse again

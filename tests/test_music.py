@@ -143,7 +143,7 @@ def test_imaging_map_matches_explicit_projector(m):
     sp = select_signal_dim(svd_msr(random_msr(16, 40 + m)), "manual", m=m)
     dirs = make_directions(16)
     g = ImageGrid(-1.0, 1.0, -2.1, 2.1, 0.01)
-    assert len(g.row_blocks(16 * 16)) >= 3
+    assert len(g.row_blocks(16 * 16 * g.xs().size)) >= 3
     got = imaging_map(sp, g, 11.0, dirs).values
     ref = _explicit_projector_map(sp, g, 11.0, dirs)
     assert got.shape == ref.shape == (421, 201)
@@ -235,6 +235,22 @@ def test_imaging_map_memory_is_bounded():
         tracemalloc.stop()
     # the map itself plus a few blocks' temporaries, whatever N is
     assert peak < 2 * npts * 8 + 4 * music._BLOCK_BYTES
+
+
+def test_imaging_map_blocks_count_a_rows_folded_stacks():
+    # with N = 256 a row's (N, N - M) and (G, N - M) stacks outgrow the 9-point
+    # row: blocks sized at 16 N bytes per point peaked at 14 MiB here
+    cfg = preset_config("fig3")
+    dirs = make_directions(256)
+    msr = assemble_msr(scene_from_dict(cfg["scene"]), cfg["h"], dirs)
+    sp = select_signal_dim(svd_msr(msr), "manual", m=13)
+    tracemalloc.start()
+    try:
+        imaging_map(sp, ImageGrid(-2, 2, -2, 2, 0.5), 20.0, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 @pytest.mark.parametrize("n", [16, 32])

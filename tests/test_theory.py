@@ -6,7 +6,7 @@ import pytest
 from crackmusic import (ImageGrid, TheoryParams, assemble_msr, compare_maps,
                         find_peaks, imaging_map, select_signal_dim, svd_msr,
                         theory_map)
-from crackmusic import music, special, theory
+from crackmusic import music, theory
 from crackmusic.presets import preset_config
 from crackmusic.scene import scene_from_dict
 from reference import closed_form, open_directions, phase_distance
@@ -151,16 +151,20 @@ def test_exclusion_is_the_all_pairs_phase_distance(params, grid):
     assert (rep["excluded_count"], rep["compared_count"]) == (np.sum(near), np.sum(~near))
 
 
-def test_theory_map_builds_the_j0_factors_once():
-    # the factors that do not depend on the rows are built for the first
-    # row block and reused by the others
+def test_theory_map_builds_the_j0_factors_once(monkeypatch):
+    # the factors that do not depend on the rows are built before the row
+    # blocks, once per map, however many blocks bessel_j0 fills
     scene = scene_from_dict(preset_config("fig4")["scene"])
     p = TheoryParams(wavenumber=scene.wavenumber, eta=20.0, centers=scene.centers())
-    g = ImageGrid(-2, 2, -2, 2, 0.02)
-    assert len(g.row_blocks(8 * p.centers.shape[0])) >= 3
-    special._factors.cache_clear()
-    theory_map(p, g)
-    assert special._factors.cache_info().misses == 1
+    calls = {"j0_plane_waves": 0, "bessel_j0": 0}
+    for name, fn in [(name, getattr(theory, name)) for name in calls]:
+        def counted(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(theory, name, counted)
+    theory_map(p, ImageGrid(-2, 2, -2, 2, 0.02))
+    assert calls["bessel_j0"] >= 3
+    assert calls["j0_plane_waves"] == 1
 
 
 def test_theory_map_memory_is_bounded():
@@ -178,6 +182,20 @@ def test_theory_map_memory_is_bounded():
         tracemalloc.stop()
     # the map itself plus a few row blocks' temporaries, whatever M is
     assert peak < 2 * npts * 8 + 4 * music._BLOCK_BYTES
+
+
+def test_theory_map_blocks_count_a_rows_j0_stack():
+    # at eta = 2000 a row's (2R, M) J0 stack (R about 2100) is far wider than
+    # the 101-point row: blocks sized at 8 M bytes per point peaked at 97 MiB here
+    scene = scene_from_dict(preset_config("fig4")["scene"])
+    p = TheoryParams(wavenumber=scene.wavenumber, eta=2000.0, centers=scene.centers())
+    tracemalloc.start()
+    try:
+        theory_map(p, ImageGrid(-2, 2, -2, 2, 0.04))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_compare_maps_memory_is_bounded():
