@@ -7,11 +7,12 @@ path to stdout and the warnings to stderr.  Every command is deterministic given
 the config and seed; floats are written as repr writes them (the shortest
 decimal that reads back exactly) so outputs are byte-reproducible.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure (which removes the
---out directory the run created).
+Exit codes: 0 success, 2 config or output error, 3 numeric failure; a failure
+after --out exists removes the --out directory the run created.
 """
 
 import argparse
+import gc
 import importlib.resources
 import json
 import math
@@ -32,6 +33,8 @@ from .music import ImageGrid
 from .noise import add_awgn
 from .scene import Scene, make_directions, scene_from_dict
 from .theory import TheoryParams
+
+gc.freeze()   # the imports live until exit; frozen, shutdown's collections skip them
 
 
 class ConfigError(Exception):
@@ -56,8 +59,11 @@ def load_config(args):
     if args.preset:
         cfg = presets.preset_config(args.preset)
     else:
-        with open(args.config) as f:
-            cfg = json.load(f)
+        try:   # the config file is input, so its read errors are config errors
+            with open(args.config) as f:
+                cfg = json.load(f)
+        except (OSError, ValueError) as e:
+            raise ConfigError(e) from e
         if not isinstance(cfg, dict):
             raise ConfigError(f"config must be a JSON object, not {type(cfg).__name__}")
     flags = {o["dest"]: getattr(args, o["dest"]) for o in _OVERRIDES.values()}
@@ -385,22 +391,26 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    out = Path(args.out)
     made = None      # the outermost directory of --out that this run creates
     try:
         run = load_config(args)
-        out = Path(args.out)
         made = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
         out.mkdir(parents=True, exist_ok=True)
         write_outputs(args.fn(run), out)
         return 0
-    except (ConfigError, OSError, json.JSONDecodeError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:     # load_config turns its own OSErrors into ConfigErrors
+        print(f"output error: {e.filename or out}: {e.strerror or e}", file=sys.stderr)
+        code = 2
     except (ArithmeticError, MemoryError, ValueError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
-        if made is not None:     # no partial output; a directory that existed is kept
-            shutil.rmtree(made, ignore_errors=True)
-        return 3
+        code = 3
+    if made is not None:     # no partial output; a directory that existed is kept
+        shutil.rmtree(made, ignore_errors=True)
+    return code
 
 
 if __name__ == "__main__":

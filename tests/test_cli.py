@@ -1,5 +1,7 @@
 import ast
 import copy
+import errno
+import gc
 import inspect
 import json
 import os
@@ -206,10 +208,15 @@ def test_preset_and_config_together_is_exit_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_invalid_json_is_exit_2(tmp_path):
+def test_invalid_json_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("forward", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    bad.write_bytes(b'{"seed": "\xff"}')   # not UTF-8: a config error too, not a numeric one
+    assert run("forward", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all(e.startswith("config error: ") for e in errors)
+    assert not (tmp_path / "o").exists()
 
 
 def test_schema_violation_is_exit_2(tmp_path):
@@ -573,6 +580,22 @@ def test_numeric_failure_keeps_an_existing_out(tmp_path, monkeypatch):
     assert sorted(p.name for p in (tmp_path / "old").iterdir()) == ["keep.txt"]
 
 
+def test_a_failed_write_is_exit_2_and_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # a write that fails once --out exists (here a full disk at the second map)
+    # is an output error, not a config error, and it removes what the run made
+    save_map_pgm, calls = music.save_map_pgm, []
+    def full_disk(imap, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        save_map_pgm(imap, path)
+    monkeypatch.setattr(music, "save_map_pgm", full_disk)
+    out = tmp_path / "a" / "b"
+    assert run("image", "--preset", "fig1", "--grid=-2,2,-2,2,0.1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"output error: {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert len(calls) == 2 and not (tmp_path / "a").exists()
+
+
 # ---- outputs: the commands yield, write_outputs writes ----
 
 PRINTED = {   # each command's printed paths under --eta 10 --eta 15 where it takes --eta
@@ -665,6 +688,37 @@ def _python(code, cwd):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, cwd=cwd).stdout
+
+
+def test_the_cli_freezes_its_imports_once_and_the_package_does_not(tmp_path):
+    # shutdown's collections walk every tracked object, and the CLI's imports
+    # live until exit: importing crackmusic.cli freezes them, importing only the
+    # package leaves the caller's GC alone, and main freezes nothing per call
+    code = "import gc, crackmusic; print(gc.get_freeze_count())"
+    assert _python(code, tmp_path).split() == ["0"]
+    code = "import gc, crackmusic.cli; print(gc.get_freeze_count(), len(gc.get_objects()))"
+    frozen, tracked = map(int, _python(code, tmp_path).split())
+    assert frozen >= 10000 and tracked < 1000
+    before = gc.get_freeze_count()
+    assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "o")) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_output_does_not_rely_on_teardown(tmp_path):
+    # a CLI process writes, closes and flushes everything before shutdown:
+    # stdout piped, every printed path is a file and the maps are the bytes
+    # an in-process run writes
+    grid = "--grid=-2,2,-2,2,0.04"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-m", "crackmusic.cli", "image", "--preset", "fig1",
+                           grid, "--out", "sub"], env=env, stdout=subprocess.PIPE, text=True,
+                          check=True, cwd=tmp_path)
+    printed = [tmp_path / p for p in done.stdout.splitlines()]
+    assert len(printed) == 8 and all(p.is_file() for p in printed)
+    assert run("image", "--preset", "fig1", grid, "--out", str(tmp_path / "in")) == 0
+    maps = [p for p in printed if p.suffix == ".csv"]
+    assert len(maps) == 4
+    assert all(p.read_bytes() == (tmp_path / "in" / p.name).read_bytes() for p in maps)
 
 
 def test_runs_without_a_bessel_function_leave_out_scipy_special(tmp_path):
