@@ -86,6 +86,8 @@ def load_config(args):
         if isinstance(section.get(key), float):   # JSON Schema counts 3.0 as an integer
             section[key] = int(section[key])
     for where, v in _non_finite(cfg):
+        if isinstance(v, int):
+            raise ConfigError(f"config value at {where} is an integer too large for a float")
         if not (where == "snr_db" and v == np.inf):   # +inf dB means no noise
             raise ConfigError(f"config value at {where} must be finite, not {v}")
     snr = cfg.get("snr_db", 0.0)   # past +-300 dB the noise is 30 decades off the signal
@@ -230,9 +232,15 @@ def _tag(eta):
 
 
 def _non_finite(node, where=""):
-    """Yield (path, value) for each NaN or infinite number in a JSON document."""
-    if isinstance(node, float) and not np.isfinite(node):
-        yield where, node
+    """Yield (path, value) for each number in a JSON document that no finite
+    float holds: a NaN, an infinity or an integer too large for a float."""
+    if isinstance(node, (int, float)):
+        try:
+            finite = math.isfinite(node)
+        except OverflowError:   # the int does not fit a float
+            finite = False
+        if not finite:
+            yield where, node
     children = node.items() if isinstance(node, dict) else \
         enumerate(node) if isinstance(node, list) else ()
     for key, child in children:

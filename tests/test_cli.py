@@ -274,6 +274,7 @@ def test_directions_too_many_for_an_array_is_exit_2(tmp_path, capsys):
         load(759250125)
 
 
+_HUGE = "is an integer too large for a float"   # 10**400: json writes digits, float() overflows
 VIOLATIONS = [   # (config overrides of fig1, what the exit-2 message names)
     ({"signal_dim": {"method": "manual"}}, "signal_dim: 'm'"),
     ({"signal_dim": {"method": "threshold"}}, "signal_dim: 'tau'"),
@@ -305,6 +306,11 @@ VIOLATIONS = [   # (config overrides of fig1, what the exit-2 message names)
     ({"scene": {**preset_config("fig1")["scene"], "wavenumber": float("nan")}},
      "scene/wavenumber"),
     ({"etas": [10.0, float("inf")]}, "etas/1"),
+    ({"etas": [10 ** 400]}, f"etas/0 {_HUGE}"),
+    ({"seed": 10 ** 400}, f"seed {_HUGE}"),
+    ({"grid": {**preset_config("fig1")["grid"], "x1": 10 ** 400}}, f"grid/x1 {_HUGE}"),
+    ({"scene": {**preset_config("fig1")["scene"], "wavenumber": 10 ** 400}},
+     f"scene/wavenumber {_HUGE}"),
     ({"scene": _arc_scene([[1, 1], [1, 1]])}, "scene: arc points 0 and 1 coincide"),
     ({"scene": _arc_scene([[1, 1], [1, 1], [1.5, 1]])}, "scene: arc points 0 and 1 coincide"),
     ({"scene": _arc_scene([[1, 1], [1, 1], [1.5, 1]]), "forward": "bie"},
@@ -316,7 +322,8 @@ VIOLATION_IDS = ["manual-without-m", "threshold-without-tau", "threshold-above-1
                  "calibration-origin",
                  "snr-minus-inf", "snr-huge", "snr-minus-huge", "half-length-not-h",
                  "segment-without-half-length", "segment-unknown-key",
-                 "arc-with-angle", "wavenumber-nan", "eta-inf", "arc-points-all-coincide",
+                 "arc-with-angle", "wavenumber-nan", "eta-inf", "eta-huge-int", "seed-huge-int",
+                 "grid-huge-int", "wavenumber-huge-int", "arc-points-all-coincide",
                  "arc-repeated-point", "arc-repeated-point-bie"]
 
 

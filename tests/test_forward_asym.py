@@ -100,6 +100,17 @@ def test_msr_file_round_trip(tmp_path):
     assert (tmp_path / "msr.csv").read_bytes() == (tmp_path / "msr2.csv").read_bytes()
 
 
+def test_msr_file_pair_bytes(tmp_path):
+    # the format itself: repr floats, re,im pairs, CRLF rows; a sorted sidecar indented by 2
+    msr = MsrMatrix(entries=np.array([[1 + 0.5j, -2.0], [0.25j, 3.0]]),
+                    directions=make_directions(2), wavenumber=2.0, extra={"seed": 7})
+    save_msr(msr, tmp_path / "msr.csv")
+    assert (tmp_path / "msr.csv").read_bytes() == b"1.0,0.5,-2.0,0.0\r\n0.0,0.25,3.0,0.0\r\n"
+    assert (tmp_path / "msr.json").read_bytes() == (
+        b'{\n  "convention": "obs=-inc",\n  "direction_mode": "closed",\n  "n": 2,\n'
+        b'  "provenance": "asymptotic",\n  "seed": 7,\n  "wavenumber": 2.0\n}')
+
+
 def test_save_msr_rejects_directions_other_than_the_closed_set(tmp_path):
     # the sidecar says "closed" and load_msr builds make_directions(n), so a
     # matrix over the open set would come back over other angles

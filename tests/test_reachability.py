@@ -1,22 +1,16 @@
 """Every public function and method of the package is reached from the CLI.
 
-Writes the preset output set (tools/preset_outputs.py: every command on the
-presets, the --msr paths and the BIE forward of fig1 and fig4) under
-sys.setprofile, and lists the public functions and methods defined in
-crackmusic that no call reached.  A function that no run reaches is deleted,
-or it is named in UNREACHED with the reason it stays.
+Takes the calls that writing the preset output set made (conftest.preset_tree)
+and lists the public functions and methods defined in crackmusic that no call
+reached.  A function that no run reaches is deleted, or it is named in
+UNREACHED with the reason it stays.
 """
 
 import importlib
 import inspect
 import pkgutil
-import runpy
-import sys
-from pathlib import Path
 
 import crackmusic
-
-PRESET_OUTPUTS = Path(__file__).resolve().parents[1] / "tools" / "preset_outputs.py"
 
 _ASSUMPTION_CHECK = "a modelling-assumption check: ROADMAP item 3 wires it in"
 UNREACHED = {
@@ -47,18 +41,8 @@ def _public_code():
     return found
 
 
-def test_every_public_function_is_reached_from_the_cli(tmp_path):
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        runpy.run_path(str(PRESET_OUTPUTS))["write_outputs"](tmp_path)
-    finally:
-        sys.setprofile(None)
+def test_every_public_function_is_reached_from_the_cli(preset_tree):
+    _, called = preset_tree
     public = _public_code()
     unreached = {name for name, code in public.items() if code not in called}
     extra = sorted(unreached - set(UNREACHED))

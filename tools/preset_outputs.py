@@ -11,8 +11,8 @@ MSR.  Every command gets
 one more theory and one more compare of fig4 on its own 401x401 grid (step
 0.01), whose map and report cover maps that span many row blocks.  The outputs
 are deterministic, so two trees made from the same code compare equal with
-`diff -r`, and trees made from two versions of the package (set PYTHONPATH
-to each one's src) show every output byte that changed between them.
+`diff -r`; tools/output_summary.py summarises a tree into the pinned
+tests/preset_summary.json.
 """
 
 import json
