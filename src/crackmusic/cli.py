@@ -69,6 +69,12 @@ def load_config(args):
     flags = {o["dest"]: getattr(args, o["dest"]) for o in _OVERRIDES.values()}
     cfg.update({key: v for key, v in flags.items() if v is not None})
     cfg.setdefault("signal_dim", {"method": "log_gap"})
+    if cfg.get("snr_db") == np.inf:   # +inf dB means no noise, as no snr_db does
+        del cfg["snr_db"]
+    for where, v in _non_finite(cfg):   # first, so that no later message prints such a number
+        if isinstance(v, int):
+            raise ConfigError(f"config value at {where} is an integer too large for a float")
+        raise ConfigError(f"config value at {where} must be finite, not {v}")
     error = _schema_error(_load_schema(), cfg)   # a test checks the file itself, once
     if error is not None:
         path, keyword, value, message = error
@@ -85,13 +91,8 @@ def load_config(args):
     for section, key in ((cfg, "seed"), (cfg["directions"], "n"), (cfg["signal_dim"], "m")):
         if isinstance(section.get(key), float):   # JSON Schema counts 3.0 as an integer
             section[key] = int(section[key])
-    for where, v in _non_finite(cfg):
-        if isinstance(v, int):
-            raise ConfigError(f"config value at {where} is an integer too large for a float")
-        if not (where == "snr_db" and v == np.inf):   # +inf dB means no noise
-            raise ConfigError(f"config value at {where} must be finite, not {v}")
     snr = cfg.get("snr_db", 0.0)   # past +-300 dB the noise is 30 decades off the signal
-    if abs(snr) > 300 and snr != np.inf:
+    if abs(snr) > 300:
         raise ConfigError(f"snr_db is {snr!r}, but it must lie in [-300, 300] dB (+inf: no noise)")
     for i, crack in enumerate(cfg["scene"]["cracks"]):   # assemble_msr sizes every crack by h
         if cfg["forward"] == "asym" and crack.get("half_length", cfg["h"]) != cfg["h"]:
@@ -138,7 +139,7 @@ _BOUNDS = {   # keyword -> (a number breaks it when, the message's words)
     "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
 }
 _SCHEMA_KEYWORDS = {"type", "properties", "required", "additionalProperties", "const", "enum",
-                    *_BOUNDS, "items", "minItems", "maxItems", "if", "allOf", "not", "$ref"}
+                    *_BOUNDS, "items", "minItems", "maxItems", "if", "allOf", "not"}
 
 
 def _schema_error(schema, cfg):
@@ -146,30 +147,24 @@ def _schema_error(schema, cfg):
     best_match picks among cfg's errors against schema, or None if cfg matches:
     the shallowest, then the greatest path, then one whose schema names a type
     the value lacks (or none), then the first."""
-    error = max(_schema_errors(schema, cfg, schema),
+    error = max(_schema_errors(schema, cfg),
                 key=lambda e: (-len(e[0]), e[0], not e[4]), default=None)
     return error and error[:4]
 
 
-def _schema_errors(schema, x, root, path=()):
+def _schema_errors(schema, x, path=()):
     """Yield (path, keyword, keyword value, message, typed) for each way the JSON
     value x breaks schema, in the order and words of jsonschema's Draft 2020-12
     validator; typed tells whether schema names a type that x has.  It reads
-    only _SCHEMA_KEYWORDS, additionalProperties only as false, $ref only as a
-    pointer into root."""
+    only _SCHEMA_KEYWORDS, and additionalProperties only as false."""
     if schema is True:
         return
     typed = "type" in schema and _is_type(x, schema["type"])
     obj, arr, num = isinstance(x, dict), isinstance(x, list), _is_type(x, "number")
     for key, v in schema.items():
         subs, messages = (), ()   # (schema, value, path) to descend into; this key's errors
-        if key == "$ref":
-            target = root
-            for part in v.removeprefix("#/").split("/"):
-                target = target[part]
-            subs = [(target, x, path)]
-        elif key == "if":
-            then = not any(_schema_errors(v, x, root))
+        if key == "if":
+            then = not any(_schema_errors(v, x))
             subs = [(schema.get("then" if then else "else", True), x, path)]
         elif key == "allOf":
             subs = [(s, x, path) for s in v]
@@ -190,7 +185,7 @@ def _schema_errors(schema, x, root, path=()):
             messages = [f"{v!r} was expected"]
         elif key == "enum" and not any(_equal(x, e) for e in v):
             messages = [f"{x!r} is not one of {v!r}"]
-        elif key == "not" and not any(_schema_errors(v, x, root)):
+        elif key == "not" and not any(_schema_errors(v, x)):
             messages = [f"{x!r} should not be valid under {v!r}"]
         elif key in _BOUNDS and num and _BOUNDS[key][0](x, v):
             messages = [f"{x!r} is {_BOUNDS[key][1]} {v!r}"]
@@ -199,7 +194,7 @@ def _schema_errors(schema, x, root, path=()):
         elif key == "maxItems" and arr and len(x) > v:
             messages = [f"{x!r} {'is expected to be empty' if v == 0 else 'is too long'}"]
         for sub, value, sub_path in subs:
-            yield from _schema_errors(sub, value, root, sub_path)
+            yield from _schema_errors(sub, value, sub_path)
         for message in messages:
             yield path, key, v, message, typed
 

@@ -51,16 +51,13 @@ def _operator_rows(crack, k, tau, nodes):
     n = nodes.size
     r = np.linalg.norm(crack.point(tau)[:, None, :] - crack.point(nodes)[None, :, :], axis=2)
     dt = np.abs(tau[:, None] - nodes[None, :])
-    j0 = np.ones(r.shape)
-    m = np.empty(r.shape, dtype=np.complex128)
-    off = r > 0
-    h = hankel0(k * r[off])
-    j0[off] = h.real
-    m[off] = 0.25j * h + h.real * np.log(dt[off]) / (2.0 * np.pi)
-    if np.any(~off):
-        speed = np.linalg.norm(crack.deriv(tau), axis=1)
-        diag = 0.25j - (np.log(0.5 * k * speed) + _EULER_GAMMA) / (2.0 * np.pi)
-        m[~off] = np.broadcast_to(diag[:, None], m.shape)[~off]
+    on = r == 0   # tau on a node: M takes its limit there and J0 is 1
+    h = hankel0(k * np.where(on, 1.0, r))
+    speed = np.linalg.norm(crack.deriv(tau), axis=1)
+    diag = 0.25j - (np.log(0.5 * k * speed) + _EULER_GAMMA) / (2.0 * np.pi)
+    with np.errstate(divide="ignore"):   # ln|tau - s| is -inf on a node, where diag replaces it
+        m = np.where(on, diag[:, None], 0.25j * h + h.real * np.log(dt) / (2.0 * np.pi))
+    j0 = np.where(on, 1.0, h.real)
     deg = np.arange(1, n)
     log_w = -np.log(2.0) - 2.0 * (_cheb_matrix(tau, deg) / deg) @ _cheb_matrix(nodes, deg).T
     return (np.pi / n) * (m - j0 * log_w / (2.0 * np.pi))

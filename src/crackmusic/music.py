@@ -5,7 +5,6 @@ vector f built from plane-wave phases exp(i eta theta_n . x).  f is normalized
 to unit Euclidean norm so the functional has baseline 1 on the noise floor.
 """
 
-import csv
 import functools
 from dataclasses import dataclass, replace
 
@@ -394,10 +393,9 @@ def save_map_pgm(imap, path):
 
 
 def save_spectrum_csv(space, path):
+    """index,sigma,sigma_rel rows of repr floats, CRLF line ends: the bytes csv.writer writes."""
     s = space.singular_values
     top = s[0] if s.size and s[0] > 0 else 1.0
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "sigma", "sigma_rel"])
-        for i, val in enumerate(s, start=1):
-            w.writerow([i, repr(float(val)), repr(float(val / top))])
+        f.write("index,sigma,sigma_rel\r\n")
+        f.writelines(f"{i},{float(v)!r},{float(v / top)!r}\r\n" for i, v in enumerate(s, start=1))

@@ -208,7 +208,7 @@ def incident_field(x, theta, k):
 
 
 # --- Scene documents: the run config's "scene", validated against
-# runconfig.schema.json's $defs/scene before it gets here ---
+# runconfig.schema.json's scene property before it gets here ---
 
 _CRACK_TYPES = {"segment": SegmentCrack, "arc": ParametricCrack}
 

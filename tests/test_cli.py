@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -339,6 +340,33 @@ def test_schema_violation_names_the_field(tmp_path, capsys, overrides, field):
 def test_snr_db_bounds_are_300_db_each_way(tmp_path, snr_db, code):
     assert run("forward", "--preset", "fig1", f"--snr-db={snr_db}", "--out", str(tmp_path / "o")) == code
     assert (tmp_path / "o").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"directions": {"n": 10 ** 400}}, "directions/n"), ({"forward": 10 ** 400}, "forward"),
+    ({"seed": -10 ** 400}, "seed"), ({"h": float("inf")}, "h")],
+    ids=["directions-n-huge-int", "forward-huge-int", "seed-minus-huge-int", "h-inf"])
+def test_a_number_no_float_holds_is_named_not_printed(tmp_path, capsys, overrides, key):
+    # the number walk runs before every check that prints a value, the schema's included
+    cfg = write_cfg(tmp_path, **overrides)
+    assert run("forward", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 120 and re.search(f" {key}[ :]", lines[0]), lines
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "svd", "image"])
+def test_an_infinite_snr_is_the_run_without_noise(tmp_path, command):
+    # +inf dB means no noise, as no snr_db does: the same bytes, whatever the seed
+    def outputs(*argv):
+        out = tmp_path / f"o{len(list(tmp_path.glob('o*')))}"
+        grid = GRID_COARSE if command == "image" else ()
+        assert run(command, *argv, *grid, "--out", str(out)) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    quiet = outputs("--preset", "fig1")
+    assert outputs("--preset", "fig1", "--snr-db", "inf", "--seed", "3") == quiet
+    assert outputs("--config", write_cfg(tmp_path, snr_db=float("inf"))) == quiet
 
 
 @pytest.mark.parametrize("command", ["forward", "image"])
@@ -792,7 +820,7 @@ SCHEMA = json.loads((Path(crackmusic.__file__).parent / "schemas"
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_matches_the_schema_file(name):
-    # the schema file stands alone: the scene format is its own $defs/scene
+    # the schema file stands alone: the scene format is its own scene property
     jsonschema.validate(preset_config(name), SCHEMA)
 
 
@@ -884,16 +912,15 @@ def test_schema_uses_only_the_keywords_the_reader_reads():
             return
         for key, value in schema.items():
             yield key, value
-            subs = (value.values() if key in ("properties", "$defs") else value if key == "allOf"
+            subs = (value.values() if key == "properties" else value if key == "allOf"
                     else [value] if key in ("if", "then", "else", "not", "items") else ())
             for sub in subs:
                 yield from walk(sub)
     used = list(walk(SCHEMA))
-    passed_over = {"then", "else", "$schema", "$defs", "title", "description"}   # if reads then, else
+    passed_over = {"then", "else", "$schema", "title", "description"}   # if reads then, else
     assert {key for key, _ in used} <= cli._SCHEMA_KEYWORDS | passed_over
     assert all(v is False for key, v in used if key == "additionalProperties")
     assert all(v in cli._TYPES for key, v in used if key == "type")
-    assert all(v.startswith("#/$defs/") for key, v in used if key == "$ref")
 
 
 def test_commands_leave_out_jsonschema(tmp_path):

@@ -35,6 +35,16 @@ def test_boundary_residual_extended_arc():
     assert res[1] < 0.5 * res[0]
 
 
+def test_boundary_residual_on_nodes():
+    # collocation holds at the nodes: a rectangular call whose tau hits some
+    # of them takes each on-node entry from the operator's diagonal limit
+    inc = np.array([0.6, 0.8])
+    for crack, n in ((GAMMA2, 64), (ParametricCrack(points=[[0, 0], [0.3, 0.1], [0.5, 0.4]]), 32)):
+        values = solve_scatter(crack, K1, inc, n)
+        tau = forward_bie._cheb_nodes(n)[::5]
+        assert np.max(np.abs(boundary_field(crack, K1, inc, values, tau))) <= 1e-10
+
+
 def test_density_linearity_superposition():
     # the solver is linear in the right-hand side: a two-incidence solve
     # equals the two one-incidence solves column by column

@@ -488,3 +488,19 @@ def test_spectrum_csv(tmp_path):
     assert lines[0] == "index,sigma,sigma_rel"
     assert len(lines) == 17
     assert lines[1].split(",")[2] == "1.0"
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.0], ids=["random", "all-zero"])
+def test_spectrum_csv_bytes_match_csv_writer(tmp_path, scale):
+    # an all-zero spectrum divides by 1, not by its top value
+    s = scale * np.sort(np.random.default_rng(5).lognormal(0.0, 8.0, 23))[::-1]
+    sp = music.SignalSpace(singular_values=s, left_vectors=np.eye(s.size))
+    save_spectrum_csv(sp, tmp_path / "new.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["index", "sigma", "sigma_rel"])
+        top = s[0] if s[0] > 0 else 1.0
+        w.writerows([i, repr(float(v)), repr(float(v / top))] for i, v in enumerate(s, start=1))
+    ref = (tmp_path / "ref.csv").read_bytes()
+    assert ref.count(b"\r\n") == 24
+    assert (tmp_path / "new.csv").read_bytes() == ref
