@@ -279,13 +279,6 @@ def test_imaging_m0_is_one_everywhere():
     assert np.array_equal(m.values, np.ones((4, 5)))
 
 
-def test_imaging_huge_at_crack_for_origin_crack():
-    sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
-    dirs = make_directions(16)
-    sp = select_signal_dim(svd_msr(assemble_msr(sc, 0.05, dirs)), "manual", m=1)
-    assert imaging_map(sp, at((0.0, 0.0)), K1, dirs).values[0, 0] > 1e3
-
-
 def test_imaging_near_one_far_from_peaks():
     sc = Scene(cracks=(SegmentCrack(center=(0, 0), half_length=0.05),), wavenumber=K1)
     dirs = open_directions(64)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from crackmusic import add_awgn, assemble_msr, make_directions
 from crackmusic.presets import preset_config
@@ -10,10 +11,12 @@ def clean_msr(n=64):
     return assemble_msr(sc, 0.05, make_directions(n))
 
 
-def test_no_noise_sentinel_is_bit_exact():
+def test_a_non_finite_snr_raises():
+    # +inf dB (no noise) never reaches add_awgn: load_config drops it
     msr = clean_msr(16)
-    out = add_awgn(msr, np.inf, seed=3)
-    assert np.array_equal(out.entries, msr.entries)
+    for snr_db in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            add_awgn(msr, snr_db, seed=3)
 
 
 def test_same_seed_is_deterministic():
