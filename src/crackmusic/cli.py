@@ -12,14 +12,9 @@ after --out exists removes the --out directory the run created.
 """
 
 import argparse
-import functools
 import gc
-import importlib.resources
 import json
 import math
-import numbers
-import operator
-import reprlib
 import shutil
 import sys
 from pathlib import Path
@@ -31,6 +26,7 @@ from . import music, presets, theory
 from .calibrate import CalibrationPlan, calibrate_and_image
 from .forward_asym import MsrMatrix, assemble_msr, load_msr, save_msr
 from .forward_bie import assemble_msr_bie
+from .jsoncheck import check, quote
 from .music import ImageGrid
 from .noise import add_awgn
 from .scene import Scene, make_directions, scene_from_dict
@@ -52,11 +48,6 @@ class Run(NamedTuple):
     msr: MsrMatrix | None            # the --msr data, checked against the config
 
 
-def _load_schema():
-    pkg = importlib.resources.files("crackmusic.schemas")
-    return json.loads((pkg / "runconfig.schema.json").read_text())
-
-
 def load_config(args):
     if args.preset:
         cfg = presets.preset_config(args.preset)
@@ -73,41 +64,34 @@ def load_config(args):
     cfg.setdefault("signal_dim", {"method": "log_gap"})
     if cfg.get("snr_db") == np.inf:   # +inf dB means no noise, as no snr_db does
         del cfg["snr_db"]
-    for where, v in _non_finite(cfg):   # first, so that no later message prints such a number
-        if isinstance(v, int):
-            raise ConfigError(f"config value at {where} is an integer too large for a float")
-        raise ConfigError(f"config value at {where} must be finite, not {v}")
-    error = _schema_error(_load_schema(), cfg)   # a test checks the file itself, once
-    if error is not None:
-        path, keyword, value, message = error
-        where = "/".join(map(str, path)) or "top level"
-        if keyword == "not" and value == {}:
-            # the schema forbids a key outright only where a signal_dim method does not read it
+    try:
+        check(cfg, "runconfig", "config")
+    except ValueError as e:   # a SchemaError's args: the message, where, the keyword, its value
+        if e.args[2:] == ("not", {}):   # a key that the config's signal_dim method does not read
             method = cfg["signal_dim"].get("method")
-            raise ConfigError(f"{where} is not read by method {method!r}")
-        instance = functools.reduce(operator.getitem, path, cfg)   # printed cut short
-        message = message.replace(repr(instance), reprlib.repr(instance), 1)
-        raise ConfigError(f"config does not match schema at {where}: {message}")
+            raise ConfigError(f"{e.args[1]} is not read by method {quote(method)}") from None
+        raise ConfigError(e) from None
     n, n_max = cfg["directions"]["n"], math.isqrt(np.iinfo(np.intp).max // 16)
     if n > n_max:   # ImageGrid's rule, for the N x N complex MSR matrix
-        raise ConfigError(f"directions/n is {n!r}, but an N x N complex matrix must fit the "
+        raise ConfigError(f"directions/n is {quote(n)}, but an N x N complex matrix must fit the "
                           f"largest array, {np.iinfo(np.intp).max} bytes, so N is at most {n_max}")
     for section, key in ((cfg, "seed"), (cfg["directions"], "n"), (cfg["signal_dim"], "m")):
         if isinstance(section.get(key), float):   # JSON Schema counts 3.0 as an integer
             section[key] = int(section[key])
     for i, crack in enumerate(cfg["scene"]["cracks"]):   # assemble_msr sizes every crack by h
         if cfg["forward"] == "asym" and crack.get("half_length", cfg["h"]) != cfg["h"]:
-            raise ConfigError(f"scene/cracks/{i}/half_length is {crack['half_length']!r}, but "
-                              f"the asymptotic model sizes every crack by h = {cfg['h']!r}")
+            raise ConfigError(f"scene/cracks/{i}/half_length is {quote(crack['half_length'])}, "
+                              f"but the asymptotic model sizes every crack by h = {quote(cfg['h'])}")
     first = {}
     for eta in cfg["etas"]:
         tag = _tag(eta)
         if tag in first:
-            raise ConfigError(f"etas {first[tag]!r} and {eta!r} share the file name tag eta{tag}")
+            raise ConfigError(f"etas {quote(first[tag])} and {quote(eta)} share the file name "
+                              f"tag eta{tag}")
         first[tag] = eta
     m, n = cfg["signal_dim"].get("m", 0), cfg["directions"]["n"]
-    if "--signal-dim" in _COMMANDS[args.command][1].split() and m > n:   # they choose M
-        raise ConfigError(f"signal_dim/m is {m}, but M can be at most directions.n = {n}")
+    if "--signal-dim" in _COMMANDS[args.command][1] and m > n:   # they choose M
+        raise ConfigError(f"signal_dim/m is {quote(m)}, but M can be at most directions.n = {n}")
     plan = msr = None
     if args.command == "calibrate":
         if "calibration" not in cfg:
@@ -119,99 +103,17 @@ def load_config(args):
     probes = [(f"etas/{i}", eta) for i, eta in enumerate(cfg["etas"])]
     for where, eta in probes + ([("calibration/eta", plan.eta)] if plan else []):
         if not math.isfinite(eta * reach):   # a map's phases eta x must be finite
-            raise ConfigError(f"{where} is {eta!r}, but eta times the grid's largest "
-                              f"|coordinate|, {reach!r}, overflows")
+            raise ConfigError(f"{where} is {quote(eta)}, but eta times the grid's largest "
+                              f"|coordinate|, {quote(reach)}, overflows")
     if args.msr:   # the data must match the config's N and wavenumber
         msr = _checked(f"MSR file {args.msr}", load_msr, args.msr)
         for key, got, where, want in (
                 ("n", msr.n, "directions.n", cfg["directions"]["n"]),
                 ("wavenumber", msr.wavenumber, "scene.wavenumber", cfg["scene"]["wavenumber"])):
             if got != want:
-                raise ConfigError(f"MSR file {args.msr}: its sidecar has {key} = {got!r}, "
-                                  f"but the config's {where} is {want!r}")
+                raise ConfigError(f"MSR file {args.msr}: its sidecar has {key} = {quote(got)}, "
+                                  f"but the config's {where} is {quote(want)}")
     return Run(cfg, scene, grid, plan, msr)
-
-
-_TYPES = {"object": dict, "array": list, "number": numbers.Number, "integer": int}
-_BOUNDS = {   # keyword -> (a number breaks it when, the message's words)
-    "minimum": (operator.lt, "less than the minimum of"),
-    "maximum": (operator.gt, "greater than the maximum of"),
-    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
-    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
-}
-_SCHEMA_KEYWORDS = {"type", "properties", "required", "additionalProperties", "const", "enum",
-                    *_BOUNDS, "items", "minItems", "maxItems", "if", "allOf", "not"}
-
-
-def _schema_error(schema, cfg):
-    """(path, keyword, keyword value, message) of the error that jsonschema's
-    best_match picks among cfg's errors against schema, or None if cfg matches:
-    the shallowest, then the greatest path, then one whose schema names a type
-    the value lacks (or none), then the first."""
-    error = max(_schema_errors(schema, cfg),
-                key=lambda e: (-len(e[0]), e[0], not e[4]), default=None)
-    return error and error[:4]
-
-
-def _schema_errors(schema, x, path=()):
-    """Yield (path, keyword, keyword value, message, typed) for each way the JSON
-    value x breaks schema, in the order and words of jsonschema's Draft 2020-12
-    validator; typed tells whether schema names a type that x has.  It reads
-    only _SCHEMA_KEYWORDS, and additionalProperties only as false."""
-    if schema is True:
-        return
-    typed = "type" in schema and _is_type(x, schema["type"])
-    obj, arr, num = isinstance(x, dict), isinstance(x, list), _is_type(x, "number")
-    for key, v in schema.items():
-        subs, messages = (), ()   # (schema, value, path) to descend into; this key's errors
-        if key == "if":
-            then = not any(_schema_errors(v, x))
-            subs = [(schema.get("then" if then else "else", True), x, path)]
-        elif key == "allOf":
-            subs = [(s, x, path) for s in v]
-        elif key == "properties" and obj:
-            subs = [(s, x[k], (*path, k)) for k, s in v.items() if k in x]
-        elif key == "items" and arr:
-            subs = [(v, item, (*path, i)) for i, item in enumerate(x)]
-        elif key == "required" and obj:
-            messages = [f"{k!r} is a required property" for k in v if k not in x]
-        elif key == "additionalProperties" and obj and v is False:
-            extra = sorted((k for k in x if k not in schema.get("properties", {})), key=str)
-            if extra:
-                messages = ["Additional properties are not allowed (%s %s unexpected)" % (
-                    ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")]
-        elif key == "type" and not typed:
-            messages = [f"{x!r} is not of type {v!r}"]
-        elif key == "const" and not _equal(x, v):
-            messages = [f"{v!r} was expected"]
-        elif key == "enum" and not any(_equal(x, e) for e in v):
-            messages = [f"{x!r} is not one of {v!r}"]
-        elif key == "not" and not any(_schema_errors(v, x)):
-            messages = [f"{x!r} should not be valid under {v!r}"]
-        elif key in _BOUNDS and num and _BOUNDS[key][0](x, v):
-            messages = [f"{x!r} is {_BOUNDS[key][1]} {v!r}"]
-        elif key == "minItems" and arr and len(x) < v:
-            messages = [f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}"]
-        elif key == "maxItems" and arr and len(x) > v:
-            messages = [f"{x!r} {'is expected to be empty' if v == 0 else 'is too long'}"]
-        for sub, value, sub_path in subs:
-            yield from _schema_errors(sub, value, sub_path)
-        for message in messages:
-            yield path, key, v, message, typed
-
-
-def _is_type(x, name):
-    """JSON Schema's type test: a bool is not a number, and 3.0 is an integer."""
-    if isinstance(x, bool) or not isinstance(x, _TYPES[name]):
-        return name == "integer" and isinstance(x, float) and x.is_integer()
-    return True
-
-
-def _equal(a, b):
-    """JSON equality: a bool equals only itself, 0 == 0.0 == -0.0, lists item by item."""
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(_equal, a, b))
-    return a is b if isinstance(a, bool) or isinstance(b, bool) else a == b
 
 
 def _checked(section, build, *args, **kwargs):
@@ -225,22 +127,6 @@ def _checked(section, build, *args, **kwargs):
 def _tag(eta):
     """The part of an output file name that tells one eta's files from another's."""
     return f"{eta:g}"
-
-
-def _non_finite(node, where=""):
-    """Yield (path, value) for each number in a JSON document that no finite
-    float holds: a NaN, an infinity or an integer too large for a float."""
-    if isinstance(node, (int, float)):
-        try:
-            finite = math.isfinite(node)
-        except OverflowError:   # the int does not fit a float
-            finite = False
-        if not finite:
-            yield where, node
-    children = node.items() if isinstance(node, dict) else \
-        enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield from _non_finite(child, f"{where}/{key}" if where else str(key))
 
 
 def _grid_flag(spec):
@@ -367,12 +253,12 @@ _OVERRIDES = {   # flag -> add_argument keywords; dest is the config key the fla
 _FLAGS = {"--msr": {"dest": "msr", "help": "existing MSR CSV file (sidecar: same name .json)"},
           **_OVERRIDES}
 _COMMANDS = {    # each command and the flags it reads; argparse rejects the others
-    "forward": (cmd_forward, "--snr-db --seed"),
-    "image": (cmd_image, " ".join(_FLAGS)),
-    "svd": (cmd_svd, "--msr --snr-db --seed --signal-dim"),
-    "theory": (cmd_theory, "--eta --grid"),
-    "compare": (cmd_compare, " ".join(_FLAGS)),
-    "calibrate": (cmd_calibrate, "--msr --snr-db --seed --grid --signal-dim"),
+    "forward": (cmd_forward, ("--snr-db", "--seed")),
+    "image": (cmd_image, tuple(_FLAGS)),
+    "svd": (cmd_svd, ("--msr", "--snr-db", "--seed", "--signal-dim")),
+    "theory": (cmd_theory, ("--eta", "--grid")),
+    "compare": (cmd_compare, tuple(_FLAGS)),
+    "calibrate": (cmd_calibrate, ("--msr", "--snr-db", "--seed", "--grid", "--signal-dim")),
 }
 
 
@@ -387,7 +273,7 @@ def build_parser():
         source.add_argument("--preset", choices=presets.PRESET_NAMES,
                             help="use a built-in configuration")
         sp.add_argument("--out", required=True, help="output directory")
-        for flag in flags.split():
+        for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
         sp.set_defaults(fn=fn, **{o["dest"]: None for o in _FLAGS.values()})
     return p

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .jsoncheck import check, quote
 from .scene import DirectionSet, make_directions
 
 
@@ -56,17 +57,8 @@ def assemble_msr(scene, h, dirs):
                      provenance="asymptotic")
 
 
-# --- MSR file format: the complex matrix viewed as interleaved re,im float64
-# columns, one CSV row of repr floats per matrix row, + JSON sidecar (.json) ---
-
-CONVENTION = "obs=-inc"
-_SIDECAR = {     # key: (test of its JSON value, what it must be); type(): a JSON true is a bool
-    "convention": (lambda v: v == CONVENTION, repr(CONVENTION)),
-    "n": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
-    "wavenumber": (lambda v: type(v) in (int, float), "a number"),
-    "provenance": (lambda v: v in ("asymptotic", "bie"), "'asymptotic' or 'bie'"),
-    "direction_mode": (lambda v: v == "closed", "'closed'"),
-}
+# --- MSR file format: the complex matrix viewed as interleaved re,im float64 columns, one
+# CSV row of repr floats per matrix row, + JSON sidecar (schemas/msr_sidecar.schema.json) ---
 
 
 def save_msr(msr, csv_path):
@@ -78,14 +70,8 @@ def save_msr(msr, csv_path):
     with open(csv_path, "w", newline="") as f:   # the bytes csv.writer writes
         f.writelines(",".join(map(repr, row)) + "\r\n"
                      for row in msr.entries.view(np.float64).tolist())
-    meta = {
-        "n": msr.n,
-        "wavenumber": msr.wavenumber,
-        "convention": CONVENTION,
-        "provenance": msr.provenance,
-        "direction_mode": "closed",
-        **msr.extra,
-    }
+    meta = {"n": msr.n, "wavenumber": msr.wavenumber, "convention": "obs=-inc",
+            "provenance": msr.provenance, "direction_mode": "closed", **msr.extra}
     with open(Path(csv_path).with_suffix(".json"), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
 
@@ -95,20 +81,14 @@ def load_msr(csv_path):
     sidecar_path = Path(csv_path).with_suffix(".json")
     with open(sidecar_path) as f:
         meta = json.load(f)
-    if not isinstance(meta, dict):
-        raise ValueError(f"sidecar {sidecar_path} is a JSON {type(meta).__name__}, not an object")
-    for key, (ok, want) in _SIDECAR.items():
-        if key not in meta:
-            raise ValueError(f"sidecar {sidecar_path} lacks the key {key!r}")
-        if not ok(meta[key]):
-            raise ValueError(f"sidecar {sidecar_path}: {key!r} must be {want}, not {meta[key]!r}")
-    n = meta["n"]
+    schema = check(meta, "msr_sidecar", f"sidecar {sidecar_path}")
+    n = int(meta["n"])   # JSON Schema counts 16.0 as an integer, as the config does
     with open(csv_path, newline="") as f:
         vals = np.array([[float(v) for v in line.split(",")] for line in f.read().splitlines()])
     if vals.shape != (n, 2 * n):
-        raise ValueError(f"floats of shape {vals.shape} do not match sidecar n = {n}, "
-                         f"which needs n rows of n re,im pairs, shape {(n, 2 * n)}")
+        raise ValueError(f"floats of shape {vals.shape} do not match sidecar n = {quote(n)}, "
+                         f"which needs n rows of n re,im pairs, shape {quote((n, 2 * n))}")
     entries = vals.view(np.complex128)
     return MsrMatrix(entries=entries, directions=make_directions(n),
                      wavenumber=float(meta["wavenumber"]), provenance=meta["provenance"],
-                     extra={k: v for k, v in meta.items() if k not in _SIDECAR})
+                     extra={k: v for k, v in meta.items() if k not in schema["properties"]})

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import crackmusic
-from crackmusic import cli, load_msr, music, theory
+from crackmusic import cli, jsoncheck, load_msr, music, theory
 from crackmusic.cli import main
 from crackmusic.presets import PRESET_NAMES, preset_config
 
@@ -494,27 +494,40 @@ def _sidecar_array(csv_path, sidecar):
     sidecar.write_text(json.dumps(list(json.loads(sidecar.read_text()).items())))
 
 
+_AT = "msr.json does not match schema at"   # a schema error in the sidecar
+
+
 @pytest.mark.parametrize("edit, problem", [
     (_set_sidecar("n", 12), "sidecar n = 12"),
-    (_set_sidecar("convention", "obs=inc"), "'obs=inc'"),
+    (_set_sidecar("convention", "obs=inc"), f"{_AT} convention: 'obs=-inc' was expected"),
     (_nan_entry, "non-finite"),
     (_odd_columns, "(16, 31)"),
-    (_sidecar_array, "msr.json is a JSON list, not an object"),
-    (_set_sidecar("n", "16"), "msr.json: 'n' must be an integer >= 2, not '16'"),
-    (_set_sidecar("n", True), "msr.json: 'n' must be an integer >= 2, not True"),
-    (_set_sidecar("wavenumber", None), "msr.json: 'wavenumber' must be a number, not None"),
-    (_set_sidecar("wavenumber", [1]), "msr.json: 'wavenumber' must be a number, not [1]"),
-    (_set_sidecar("wavenumber", "abc"), "msr.json: 'wavenumber' must be a number, not 'abc'"),
+    (_sidecar_array, f"{_AT} top level: [['convention', 'obs=-inc'], "),
+    (_set_sidecar("n", "16"), f"{_AT} n: '16' is not of type 'integer'"),
+    (_set_sidecar("n", True), f"{_AT} n: True is not of type 'integer'"),
+    (_set_sidecar("wavenumber", None), f"{_AT} wavenumber: None is not of type 'number'"),
+    (_set_sidecar("wavenumber", [1]), f"{_AT} wavenumber: [1] is not of type 'number'"),
+    (_set_sidecar("wavenumber", "abc"), f"{_AT} wavenumber: 'abc' is not of type 'number'"),
     (_set_sidecar("wavenumber", repr(K1)),
-     f"msr.json: 'wavenumber' must be a number, not {repr(K1)!r}"),
+     f"{_AT} wavenumber: {repr(K1)!r} is not of type 'number'"),
     (_set_sidecar("provenance", [1]),
-     "msr.json: 'provenance' must be 'asymptotic' or 'bie', not [1]"),
-    (_set_sidecar("direction_mode", "open"),
-     "msr.json: 'direction_mode' must be 'closed', not 'open'"),
-    (_drop_sidecar_key("direction_mode"), "msr.json lacks the key 'direction_mode'"),
+     f"{_AT} provenance: [1] is not one of ['asymptotic', 'bie']"),
+    (_set_sidecar("direction_mode", "open"), f"{_AT} direction_mode: 'closed' was expected"),
+    (_drop_sidecar_key("direction_mode"),
+     f"{_AT} top level: 'direction_mode' is a required property"),
+    (_set_sidecar("wavenumber", 10 ** 400),
+     "msr.json value at wavenumber is an integer too large for a float"),
+    (_set_sidecar("wavenumber", float("nan")),
+     "msr.json value at wavenumber must be finite, not nan"),
+    (_set_sidecar("n", 10 ** 400), "msr.json value at n is an integer too large for a float"),
+    (_set_sidecar("n", 10 ** 300), "sidecar n = 100000000000000000...0000000000000000000, "),
+    (_set_sidecar("provenance", "x" * 5000),
+     f"{_AT} provenance: 'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not one of ['asymptotic', 'bie']"),
 ], ids=["n-mismatch", "convention", "nan-entry", "odd-columns", "sidecar-array", "n-string",
         "n-bool", "wavenumber-null", "wavenumber-list", "wavenumber-abc", "wavenumber-string",
-        "provenance-list", "direction-mode-open", "direction-mode-missing"])
+        "provenance-list", "direction-mode-open", "direction-mode-missing",
+        "wavenumber-huge-int", "wavenumber-nan", "n-huge-int", "n-300-digits",
+        "provenance-long-string"])
 def test_bad_msr_file_is_exit_2(tmp_path, capsys, edit, problem):
     fwd = tmp_path / "fwd"
     assert run("forward", "--preset", "fig1", "--out", str(fwd)) == 0
@@ -524,6 +537,55 @@ def test_bad_msr_file_is_exit_2(tmp_path, capsys, edit, problem):
     err = capsys.readouterr().err
     assert str(fwd / "msr.csv") in err and problem in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source, edit, values, key", [
+    ("sidecar", lambda v: {"wavenumber": v}, (10 ** 400, 10 ** 4009), "wavenumber"),
+    ("sidecar", lambda v: {"n": v}, (10 ** 400, 10 ** 4009), "n"),
+    ("sidecar", lambda v: {"provenance": v}, ("x" * 5000, "x" * 50000), "provenance"),
+    ("config", lambda v: {v: 1}, ("x" * 4000, "x" * 40000), "top level"),
+    # the checks after the schema see only integers a float holds, 309 digits at most
+    ("config", lambda v: {"directions": {"n": v}}, (10 ** 40, 10 ** 300), "directions/n"),
+    ("config", lambda v: {"signal_dim": {"method": "manual", "m": v}}, (10 ** 40, 10 ** 300),
+     "signal_dim/m"),
+], ids=["sidecar-wavenumber-huge-int", "sidecar-n-huge-int", "sidecar-provenance-long-string",
+        "config-long-key", "directions-n-300-digits", "signal-dim-m-300-digits"])
+def test_an_outside_value_prints_one_line_of_one_length(tmp_path, capsys, source, edit, values,
+                                                         key):
+    # every value from outside is quoted cut short: a value ten times as long (or
+    # as long as the check lets it be) prints a line of the same length
+    lengths = []
+    for i, value in enumerate(values):
+        fwd, out = tmp_path / f"fwd{i}", tmp_path / f"o{i}"
+        if source == "sidecar":
+            assert run("forward", "--preset", "fig1", "--out", str(fwd)) == 0
+            meta = {**json.loads((fwd / "msr.json").read_text()), **edit(value)}
+            (fwd / "msr.json").write_text(json.dumps(meta))
+            argv = ["--preset", "fig1", "--msr", str(fwd / "msr.csv")]
+        else:
+            argv = ["--config", write_cfg(tmp_path, **edit(value))]
+        capsys.readouterr()
+        assert run("svd", *argv, "--out", str(out)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and re.search(f" {key}[ :]", lines[0]), lines
+        assert source == "config" or str(fwd / "msr.json") in lines[0]
+        assert not out.exists()
+        lengths.append(len(lines[0].replace(str(tmp_path), "")))
+    assert lengths[0] == lengths[1] < 250, lengths
+
+
+def test_an_integral_float_sidecar_n_reads_as_an_int(tmp_path):
+    # sidecar numbers follow the config's rule: JSON Schema counts 16.0 as an integer
+    fwd = tmp_path / "fwd"
+    assert run("forward", "--preset", "fig1", "--out", str(fwd)) == 0
+    svd = ["svd", "--preset", "fig1", "--msr", str(fwd / "msr.csv"), "--out"]
+    assert run(*svd, str(tmp_path / "as_int")) == 0
+    _set_sidecar("n", 16.0)(fwd / "msr.csv", fwd / "msr.json")
+    assert load_msr(fwd / "msr.csv").n == 16
+    assert run(*svd, str(tmp_path / "as_float")) == 0
+    for name in ("spectrum.csv", "selection.json"):
+        assert (tmp_path / "as_int" / name).read_bytes() == \
+            (tmp_path / "as_float" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command, data, key, got, want", [
@@ -650,7 +712,7 @@ PRINTED = {   # each command's printed paths under --eta 10 --eta 15 where it ta
 def test_stdout_lists_one_path_per_output(tmp_path, capsys, command):
     # in the order they are yielded; every other file in --out is the .pgm of a
     # listed map or the sidecar .json of a listed MSR CSV
-    names, flags = PRINTED[command], cli._COMMANDS[command][1].split()
+    names, flags = PRINTED[command], cli._COMMANDS[command][1]
     argv = [command, "--preset", "fig4" if command == "calibrate" else "fig1",
             *(("--eta", "10", "--eta", "15") if "--eta" in flags else ()),
             *(("--grid=-2,2,-2,2,0.1",) if "--grid" in flags else ()), "--out", str(tmp_path)]
@@ -690,22 +752,22 @@ def test_write_outputs_looks_its_writers_up_when_called(tmp_path, monkeypatch):
 
 def test_commands_compute_and_write_nothing():
     # write_outputs is the one writer: a command takes only the run, yields its
-    # outputs and never prints, opens a file or calls a writer
+    # outputs and never prints, opens a file, dumps JSON, writes or calls a writer
     helpers = [fn for fn, _ in cli._COMMANDS.values()] + [cli._msr_and_space]
     for fn in helpers:
         assert inspect.isgeneratorfunction(fn) and list(inspect.signature(fn).parameters) == ["run"]
         called = {getattr(node.func, "id", getattr(node.func, "attr", None))
                   for node in ast.walk(ast.parse(inspect.getsource(fn)))
                   if isinstance(node, ast.Call)}
-        writes = {c for c in called if c in ("print", "open", "_write_json")
+        writes = {c for c in called if c in ("print", "open", "dump", "write", "writelines")
                   or str(c).startswith("save_")}
         assert not writes, (fn.__name__, writes)
 
 
-def _python(code, cwd):
-    """stdout of `python -c code` in a fresh interpreter on this process's sys.path."""
+def _python(code, cwd, *options):
+    """stdout of `python *options -c code` in a fresh interpreter on this process's sys.path."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *options, "-c", code], env=env, capture_output=True,
                           text=True, check=True, cwd=cwd).stdout
 
 
@@ -723,6 +785,16 @@ def test_the_cli_freezes_its_imports_once_and_the_package_does_not(tmp_path):
     before = gc.get_freeze_count()
     assert run("svd", "--preset", "fig1", "--out", str(tmp_path / "o")) == 0
     assert gc.get_freeze_count() == before
+
+
+def test_start_up_leaves_out_importlib_resources_and_tempfile(tmp_path):
+    # the schemas are read from the files beside jsoncheck, so no command loads
+    # importlib.resources or the tempfile module it imports
+    code = ("import sys, crackmusic.cli as cli\n"
+            "assert cli.main(['forward', '--preset', 'fig1', '--out', 'fwd']) == 0\n"
+            "assert cli.main(['svd', '--preset', 'fig1', '--msr', 'fwd/msr.csv', '--out', 'o']) == 0\n"
+            "print(sorted({'importlib.resources', 'tempfile'} & set(sys.modules)))")
+    assert _python(code, tmp_path, "-S").splitlines()[-1] == "[]"
 
 
 def test_output_does_not_rely_on_teardown(tmp_path):
@@ -801,8 +873,10 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
 
 # ---- presets ----
 
-SCHEMA = json.loads((Path(crackmusic.__file__).parent / "schemas"
-                     / "runconfig.schema.json").read_text())
+SCHEMAS = {name: json.loads((Path(crackmusic.__file__).parent / "schemas"
+                             / f"{name}.schema.json").read_text())
+           for name in ("runconfig", "msr_sidecar")}
+SCHEMA, SIDECAR_SCHEMA = SCHEMAS["runconfig"], SCHEMAS["msr_sidecar"]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -812,18 +886,26 @@ def test_preset_matches_the_schema_file(name):
 
 
 def test_schema_file_is_a_valid_schema():
-    # load_config validates against the schema without checking the schema
-    # itself on every run; this is that check, made once
-    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+    # load_config and load_msr validate against their schemas without checking
+    # the schemas themselves on every run; this is that check, made once
+    for schema in SCHEMAS.values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_every_sidecar_of_the_preset_set_matches_the_sidecar_schema(preset_tree):
+    sidecars = sorted(preset_tree[0].rglob("msr.json"))
+    assert len(sidecars) == 6   # fig1-fig4 forward, fig1 and fig4 BIE forward
+    for path in sidecars:
+        jsonschema.validate(json.loads(path.read_text()), SIDECAR_SCHEMA)
 
 
 # ---- the package's schema reader, against jsonschema ----
 
 
-def _best_match(cfg):
+def _best_match(cfg, schema=SCHEMA):
     """(path, keyword, keyword value, message) of jsonschema's best_match for cfg, or None."""
     e = jsonschema.exceptions.best_match(
-        jsonschema.validators.validator_for(SCHEMA)(SCHEMA).iter_errors(cfg))
+        jsonschema.validators.validator_for(schema)(schema).iter_errors(cfg))
     return None if e is None else (tuple(e.absolute_path), e.validator, e.validator_value, e.message)
 
 
@@ -831,7 +913,7 @@ def _best_match(cfg):
 def test_schema_reader_matches_jsonschema_on_the_named_cases(overrides):
     cfg = {**preset_config("fig1"), **overrides}
     cfg.setdefault("signal_dim", {"method": "log_gap"})
-    assert cli._schema_error(SCHEMA, cfg) == _best_match(cfg)
+    assert jsoncheck._schema_error(SCHEMA, cfg) == _best_match(cfg)
 
 
 _POOL = [True, False, None, 0, 1, 2, 3, 3.0, -1, -0.0, 0.5, 2.5, 300, 1e308, "asym", "bie",
@@ -855,13 +937,14 @@ def _sites(node):
         yield from _sites(child)
 
 
-def _mutant(rng):
-    """A preset config (signal_dim defaulted as load_config does) after one to three
-    random edits: a key or item deleted, two keys added, a value swapped for one of
-    another type (bools included), an integral float, NaN or +-inf, or a whole
-    section from _SECTIONS."""
-    box = {"cfg": preset_config(rng.choice(PRESET_NAMES))}
-    box["cfg"].setdefault("signal_dim", {"method": "log_gap"})
+def _mutant(rng, doc=None, sections=_SECTIONS):
+    """doc, by default a preset config (signal_dim defaulted as load_config does),
+    after one to three random edits: a key or item deleted, two keys added, a
+    value swapped for one of another type (bools included), an integral float,
+    NaN or +-inf, or a whole section from sections."""
+    box = {"cfg": preset_config(rng.choice(PRESET_NAMES)) if doc is None else doc}
+    if doc is None:
+        box["cfg"].setdefault("signal_dim", {"method": "log_gap"})
     for _ in range(rng.randint(1, 3)):
         node, key = rng.choice(list(_sites(box)))
         value, edit = node[key], rng.randrange(6)
@@ -874,7 +957,7 @@ def _mutant(rng):
         elif edit == 3:
             node[key] = rng.choice([float("nan"), float("inf"), -float("inf")])
         elif edit == 4 and isinstance(box["cfg"], dict):
-            box["cfg"].update(copy.deepcopy(rng.choice(_SECTIONS)))
+            box["cfg"].update(copy.deepcopy(rng.choice(sections)))
         else:
             node[key] = copy.deepcopy(rng.choice(_POOL))
     return box["cfg"]
@@ -886,10 +969,34 @@ def test_schema_reader_matches_jsonschema_on_mutated_presets():
     verdicts = []
     for _ in range(1000):
         cfg = _mutant(rng)
-        got = cli._schema_error(SCHEMA, cfg)
+        got = jsoncheck._schema_error(SCHEMA, cfg)
         assert got == _best_match(cfg), cfg
         verdicts.append(got is None)
     assert 0.1 < np.mean(verdicts) < 0.9   # both verdicts are well represented
+
+
+_SIDECARS = [   # a noisy asymptotic sidecar and a BIE one, as save_msr writes them
+    {"convention": "obs=-inc", "direction_mode": "closed", "n": 16, "provenance": "asymptotic",
+     "seed": 7, "snr_db": 25.0, "wavenumber": K1},
+    {"bie_n": [256, 64], "convention": "obs=-inc", "direction_mode": "closed", "n": 32,
+     "provenance": "bie", "reciprocity_defect": 4.3e-16, "wavenumber": 2 * np.pi / 0.4}]
+_SIDECAR_SECTIONS = [
+    *({"n": n} for n in (2, 1, 2.0, 16.5, -0.0, True, "16", None, [16])),
+    *({"wavenumber": k} for k in (0, -1.0, True, "12.5", None, {})),
+    {"convention": "obs=inc"}, {"convention": ["obs=-inc"]}, {"direction_mode": "open"},
+    {"provenance": "BIE"}, {"provenance": "bie"}, {"provenance": False}, {"extra": [[]]}]
+
+
+def test_schema_reader_matches_jsonschema_on_mutated_sidecars():
+    # the sidecar's schema goes through the same reader as the config's
+    rng = random.Random(2)
+    verdicts = []
+    for _ in range(600):
+        meta = _mutant(rng, copy.deepcopy(rng.choice(_SIDECARS)), _SIDECAR_SECTIONS)
+        got = jsoncheck._schema_error(SIDECAR_SCHEMA, meta)
+        assert got == _best_match(meta, SIDECAR_SCHEMA), meta
+        verdicts.append(got is None)
+    assert 0.1 < np.mean(verdicts) < 0.9
 
 
 def test_schema_uses_only_the_keywords_the_reader_reads():
@@ -903,11 +1010,12 @@ def test_schema_uses_only_the_keywords_the_reader_reads():
                     else [value] if key in ("if", "then", "else", "not", "items") else ())
             for sub in subs:
                 yield from walk(sub)
-    used = list(walk(SCHEMA))
     passed_over = {"then", "else", "$schema", "title", "description"}   # if reads then, else
-    assert {key for key, _ in used} <= cli._SCHEMA_KEYWORDS | passed_over
-    assert all(v is False for key, v in used if key == "additionalProperties")
-    assert all(v in cli._TYPES for key, v in used if key == "type")
+    for schema in SCHEMAS.values():
+        used = list(walk(schema))
+        assert {key for key, _ in used} <= jsoncheck._SCHEMA_KEYWORDS | passed_over
+        assert all(v is False for key, v in used if key == "additionalProperties")
+        assert all(v in jsoncheck._TYPES for key, v in used if key == "type")
 
 
 def test_commands_leave_out_jsonschema(tmp_path):

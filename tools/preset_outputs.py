@@ -6,12 +6,12 @@ Runs forward, image, svd, theory and compare on fig1-fig4, svd of fig3 with
 the default log_gap selection, calibrate on fig4, image/svd from the saved
 fig1 MSR, calibrate from the saved fig4 MSR, and the BIE forward of fig1 and
 fig4 (their configs are written to OUT too) with calibrate from the fig4 BIE
-MSR.  Every command gets
---seed 7 --snr-db 25 --grid=-2,2,-2,2,0.04 where it takes them, apart from
-one more theory and one more compare of fig4 on its own 401x401 grid (step
-0.01), whose map and report cover maps that span many row blocks.  The outputs
-are deterministic, so two trees made from the same code compare equal with
-`diff -r`; tools/output_summary.py summarises a tree into the pinned
+MSR.  Every command gets each of --seed 7 --snr-db 25 --grid=-2,2,-2,2,0.04
+that cli._COMMANDS lists for it, apart from one more theory and one more
+compare of fig4 on its own 401x401 grid (step 0.01), whose map and report
+cover maps that span many row blocks.  The outputs are deterministic, so two
+trees made from the same code compare equal with `diff -r`;
+tools/output_summary.py summarises a tree into the pinned
 tests/preset_summary.json.
 """
 
@@ -19,18 +19,15 @@ import json
 import sys
 from pathlib import Path
 
-from crackmusic.cli import main
+from crackmusic.cli import _COMMANDS, main
 from crackmusic.presets import PRESET_NAMES, preset_config
 
-NOISE = ("--seed=7", "--snr-db=25")
-GRID = ("--grid=-2,2,-2,2,0.04",)
-FLAGS = {"forward": NOISE, "image": NOISE + GRID, "svd": NOISE, "theory": GRID,
-         "compare": NOISE + GRID, "calibrate": NOISE + GRID}
+VALUES = {"--seed": "7", "--snr-db": "25", "--grid": "-2,2,-2,2,0.04"}
 
 
-def run(out, command, *argv, flags=None):
-    """Run one command into out, with the FLAGS it takes unless flags are given."""
-    flags = FLAGS[command] if flags is None else flags
+def run(out, command, *argv, skip=()):
+    """Run one command into out, with each VALUES flag it takes but those in skip."""
+    flags = [f"{f}={VALUES[f]}" for f in _COMMANDS[command][1] if f in VALUES and f not in skip]
     if main([command, *argv, *flags, "--out", str(out)]) != 0:
         sys.exit(f"crackmusic {command} {' '.join(argv)} failed")
 
@@ -42,8 +39,8 @@ def write_outputs(out):
             run(out / name / command, command, "--preset", name)
     run(out / "fig3" / "svd_log_gap", "svd", "--preset", "fig3", "--signal-dim", "log_gap")
     run(out / "fig4" / "calibrate", "calibrate", "--preset", "fig4")
-    run(out / "fig4" / "theory_preset_grid", "theory", "--preset", "fig4", flags=())
-    run(out / "fig4" / "compare_preset_grid", "compare", "--preset", "fig4", flags=NOISE)
+    run(out / "fig4" / "theory_preset_grid", "theory", "--preset", "fig4", skip=("--grid",))
+    run(out / "fig4" / "compare_preset_grid", "compare", "--preset", "fig4", skip=("--grid",))
     fig1_msr, fig4_msr = (str(out / n / "forward" / "msr.csv") for n in ("fig1", "fig4"))
     run(out / "msr" / "image", "image", "--preset", "fig1", "--msr", fig1_msr)
     run(out / "msr" / "svd", "svd", "--preset", "fig1", "--msr", fig1_msr)
